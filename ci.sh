@@ -62,20 +62,11 @@ leg_astlint() {
 }
 
 # ThreadSanitizer leg: the tsan preset's ctest filter covers the concurrent
-# surface — the parallel sweep runner, the multi-instance (two Networks from
-# two threads) regression tests, chaos replay, and determinism. Any data race
-# in the sweep pool or a hidden process-wide cache fails this leg. The
-# parallel-vs-serial bit-identity check rides along in sweep_test.
+# surface — the multi-instance (two Networks from two threads) regression
+# tests, the supervised sweep identity tests, chaos replay, and
+# determinism. Any data race on a hidden process-wide cache fails this leg.
 leg_tsan() {
   run_preset tsan
-  echo "--- [tsan] tfcsim --sweep smoke (parallel CLI path under TSan) ---"
-  cmake --build build-tsan -j "$(nproc)" --target tfcsim
-  # --in-process pins the legacy thread-pool executor: this smoke exists to
-  # race-check the worker pool, which the default fork-based supervisor
-  # (single-threaded parent) would bypass.
-  ./build-tsan/examples/tfcsim --workload=incast --protocol=all \
-      --topology=testbed --senders=6 --block_kb=64 --rounds=2 \
-      --sweep=4 --jobs=4 --in-process --telemetry-dir=build-tsan/sweep-smoke
 }
 leg_tidy()       { echo "=== [tidy] tools/tidy.sh ==="; bash tools/tidy.sh build; }
 
@@ -208,9 +199,9 @@ leg_chaos() {
 #     write a partial sweep.json naming the failure (with the salvaged
 #     post-mortem flight.tfct), and exit nonzero;
 # (2) --resume must re-execute only the crashed run and go green;
-# (3) the recovered sweep must be byte-identical, run for run, to a clean
-#     serial in-process sweep — supervision and resumption never change
-#     what a run computes.
+# (3) the recovered sweep must be byte-identical, run for run, to three
+#     standalone single runs (--sweep=1, no supervisor) with the same seeds —
+#     supervision and resumption never change what a run computes.
 # CI uploads build/sweep-smoke as the workflow's post-mortem artifact.
 leg_sweep() {
   echo "=== [sweep] supervised sweep: crash isolation + resume + identity ==="
@@ -218,9 +209,9 @@ leg_sweep() {
   cmake --build build -j "$(nproc)" --target tfcsim
   local dir=build/sweep-smoke
   rm -rf "${dir}"
-  local common=(--workload=incast --protocol=tfc --topology=testbed
-                --senders=6 --block_kb=64 --rounds=3 --seed=9
-                --sweep=3 --trace-ring=16384)
+  local run_flags=(--workload=incast --protocol=tfc --topology=testbed
+                   --senders=6 --block_kb=64 --rounds=3 --trace-ring=16384)
+  local common=("${run_flags[@]}" --seed=9 --sweep=3)
 
   echo "--- [sweep] one tripped run fails alone, siblings complete ---"
   local rc=0
@@ -247,16 +238,20 @@ leg_sweep() {
   python3 tools/telemetry_schema.py --sweep "${dir}/supervised"
   echo "sweep: resume completed only the missing run"
 
-  echo "--- [sweep] recovered sweep == clean serial in-process sweep ---"
-  ./build/examples/tfcsim "${common[@]}" --jobs=1 --in-process \
-      --telemetry-dir="${dir}/clean" >/dev/null
+  echo "--- [sweep] recovered sweep == standalone single runs ---"
+  # Standalone runs get the sweep's per-run seed and its default watchdog.
+  local i
+  for i in 0 1 2; do
+    ./build/examples/tfcsim "${run_flags[@]}" --seed=$((9 + i)) --sweep=1 \
+        --watchdog=5 --telemetry-dir="${dir}/clean/run-000${i}" >/dev/null
+  done
   local run
   for run in run-0000 run-0001 run-0002; do
     cmp "${dir}/supervised/${run}/metrics.tfcb" "${dir}/clean/${run}/metrics.tfcb"
     cmp "${dir}/supervised/${run}/summary.json" "${dir}/clean/${run}/summary.json"
     cmp "${dir}/supervised/${run}/flight.tfct" "${dir}/clean/${run}/flight.tfct"
   done
-  echo "sweep: supervised+resumed outputs byte-identical to clean serial"
+  echo "sweep: supervised+resumed outputs byte-identical to standalone runs"
 }
 
 case "${1:-all}" in

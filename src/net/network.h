@@ -5,8 +5,8 @@
 // MetricRegistry, Profiler, AuditRegistry, tracer, RNG — is *confined*:
 // one thread drives one instance, with no cross-instance shared state, so
 // distinct instances run concurrently without synchronization. The
-// parallel sweep runner (src/sim/sweep.h) and the MultiInstance tests in
-// tests/sweep_test.cc rely on exactly this.
+// MultiInstance tests in tests/sweep_test.cc rely on exactly this; sweeps
+// isolate instances further, one forked process each (src/sim/supervisor.h).
 //
 // Typical construction:
 //   Network net(/*seed=*/42);

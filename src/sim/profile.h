@@ -16,7 +16,7 @@
 //
 // Confined, not shared: a Profiler belongs to one Network, sites register
 // against that instance (never a process-wide table), so concurrent
-// simulations — e.g. sweep workers (src/sim/sweep.h) — profile
+// simulations — e.g. two Networks driven from two threads — profile
 // independently without locks.
 
 #ifndef SRC_SIM_PROFILE_H_

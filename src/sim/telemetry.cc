@@ -274,7 +274,7 @@ void TimeSeriesRecorder::Start(TimeNs period, TimeNs first_delay) {
   Stop();
   period_ = period;
   running_ = true;
-  if (max_samples_ == 0 && log_v_cap_ == 0) {
+  if (log_v_cap_ == 0) {
     // One large reservation up front: growing the value log by doubling
     // measurably dominates recording cost (allocator churn + copy), and
     // reserved-but-untouched pages are free.
@@ -293,14 +293,14 @@ void TimeSeriesRecorder::Stop() {
 }
 
 // Cold path, runs only when the registry generation moved (or on the first
-// tick): resolves watches and prefixes to (id, ring) pairs in the exact
+// tick): resolves watches and prefixes to (id, sid) pairs in the exact
 // order the pre-plan Tick sampled them — exact watches in insertion order,
 // then prefix matches in registry name order minus the exact names — so
 // stateful callback gauges see an identical read sequence.
 void TimeSeriesRecorder::RebuildPlan() {
   ++plan_rebuilds_;
-  plan_.clear();
   plan_reads_.clear();
+  plan_sids_.clear();
   for (const std::string& name : watches_) {
     const MetricId id = registry_->IdOf(name);
     if (id == kInvalidMetricId ||
@@ -337,11 +337,7 @@ void TimeSeriesRecorder::RebuildPlan() {
 }
 
 void TimeSeriesRecorder::AddPlanEntry(const std::string& name, MetricId id) {
-  Ring& ring = series_[name];
-  if (max_samples_ > 0) {
-    // Preallocate to the cap so the tick-path append never reallocates.
-    ring.samples.reserve(max_samples_);
-  }
+  std::vector<Sample>& samples = series_[name];
   MetricRegistry::CompiledRead read;
   if (!registry_->CompileReadId(id, &read)) {
     // Defensive (the callers exclude histograms and dead ids): the series
@@ -351,12 +347,12 @@ void TimeSeriesRecorder::AddPlanEntry(const std::string& name, MetricId id) {
   // Series ids persist for the recorder's lifetime (sid_by_name_ never
   // shrinks), so flat-log records written under older plans stay valid.
   auto [it, inserted] =
-      sid_by_name_.try_emplace(name, static_cast<uint32_t>(rings_by_sid_.size()));
+      sid_by_name_.try_emplace(name, static_cast<uint32_t>(series_by_sid_.size()));
   if (inserted) {
-    rings_by_sid_.push_back(&ring);
+    series_by_sid_.push_back(&samples);
   }
-  plan_.push_back(PlanEntry{read, it->second, &ring});
   plan_reads_.push_back(read);
+  plan_sids_.push_back(it->second);
 }
 
 void TimeSeriesRecorder::Tick() {
@@ -367,42 +363,30 @@ void TimeSeriesRecorder::Tick() {
   if (replan_every_tick_ || plan_generation_ != registry_->generation()) {
     RebuildPlan();
   }
-  const TimeNs t = scheduler_->now();
-  if (max_samples_ > 0) {
-    for (const PlanEntry& pe : plan_) {
-      AppendTo(*pe.ring, t, pe.read.fn(pe.read.obj));
-    }
-  } else {
-    // Uncapped: append values to one contiguous stream instead of hundreds
-    // of scattered ring tails; readers demux lazily (MaterializeLog). The
-    // sid each value belongs to is implied by its plan position — the sid
-    // order is snapshotted once per plan epoch — so the per-sample record
-    // on the hot path is just the 8-byte value.
-    if (epoch_dirty_) {
-      LogEpoch epoch;
-      epoch.sids.reserve(plan_.size());
-      for (const PlanEntry& pe : plan_) {
-        epoch.sids.push_back(pe.sid);
-      }
-      log_epochs_.push_back(std::move(epoch));
-      epoch_dirty_ = false;
-    }
-    // Write through a raw cursor: reads can run arbitrary callback-gauge
-    // code, so everything the loop needs lives in locals the compiler can
-    // keep in registers instead of vector internals it must reload.
-    const size_t n = plan_.size();
-    if (log_v_cap_ - log_v_size_ < n) {
-      GrowLogV(n);
-    }
-    double* out = log_v_.get() + log_v_size_;
-    const MetricRegistry::CompiledRead* reads = plan_reads_.data();
-    for (size_t pos = 0; pos < n; ++pos) {
-      out[pos] = reads[pos].fn(reads[pos].obj);
-    }
-    log_v_size_ += n;
-    log_t_.push_back(t);
-    ++log_epochs_.back().ticks;
+  // Append values to one contiguous stream instead of hundreds of
+  // scattered series tails; readers demux lazily (MaterializeLog). The sid
+  // each value belongs to is implied by its plan position — the sid order
+  // is snapshotted once per plan epoch — so the per-sample record on the
+  // hot path is just the 8-byte value.
+  if (epoch_dirty_) {
+    log_epochs_.push_back(LogEpoch{plan_sids_, 0});
+    epoch_dirty_ = false;
   }
+  // Write through a raw cursor: reads can run arbitrary callback-gauge
+  // code, so everything the loop needs lives in locals the compiler can
+  // keep in registers instead of vector internals it must reload.
+  const size_t n = plan_reads_.size();
+  if (log_v_cap_ - log_v_size_ < n) {
+    GrowLogV(n);
+  }
+  double* out = log_v_.get() + log_v_size_;
+  const MetricRegistry::CompiledRead* reads = plan_reads_.data();
+  for (size_t pos = 0; pos < n; ++pos) {
+    out[pos] = reads[pos].fn(reads[pos].obj);
+  }
+  log_v_size_ += n;
+  log_t_.push_back(scheduler_->now());
+  ++log_epochs_.back().ticks;
   tick_event_ = scheduler_->ScheduleDaemonAfter(period_, [this] { Tick(); });
 }
 
@@ -411,30 +395,30 @@ void TimeSeriesRecorder::MaterializeLog() const {
     return;
   }
   // Per-series sample counts fall out of the epoch snapshots (ticks x
-  // planned sids) without scanning the value stream; each ring then grows
+  // planned sids) without scanning the value stream; each series then grows
   // exactly once, and a raw write cursor per sid replaces push_back so the
   // single demux pass never touches the scattered vector headers.
-  std::vector<size_t> counts(rings_by_sid_.size(), 0);
+  std::vector<size_t> counts(series_by_sid_.size(), 0);
   for (const LogEpoch& e : log_epochs_) {
     for (uint32_t sid : e.sids) {
       counts[sid] += e.ticks;
     }
   }
-  std::vector<Sample*> cur(rings_by_sid_.size(), nullptr);
+  std::vector<Sample*> cur(series_by_sid_.size(), nullptr);
   for (size_t sid = 0; sid < counts.size(); ++sid) {
     if (counts[sid] > 0) {
-      std::vector<Sample>& samples = rings_by_sid_[sid]->samples;
+      std::vector<Sample>& samples = *series_by_sid_[sid];
       const size_t old = samples.size();
       samples.resize(old + counts[sid]);
       cur[sid] = samples.data() + old;
     }
   }
-  // The log is tick-major but the rings want series-major, so the demux is
-  // a transpose. Do it in tiles of kTileTicks ticks with a series-major
-  // inner loop: each series receives its tile chunk as one sequential
-  // burst (long store runs amortize cache-line and page costs), while the
-  // tile's value rows are small enough to stay cache-resident across the
-  // per-series strided reads. Ticks are chronological, so tile after tile
+  // The log is tick-major but each series wants its samples contiguous, so
+  // the demux is a transpose. Do it in tiles of kTileTicks ticks with a
+  // series-major inner loop: each series receives its tile chunk as one
+  // sequential burst (long store runs amortize cache-line and page costs),
+  // while the tile's value rows are small enough to stay cache-resident
+  // across the per-series strided reads. Ticks are chronological, so tile after tile
   // keeps every series oldest-first.
   constexpr size_t kTileTicks = 64;
   Sample** const curp = cur.data();
@@ -480,33 +464,6 @@ void TimeSeriesRecorder::GrowLogV(size_t need) const {
   log_v_cap_ = cap;
 }
 
-void TimeSeriesRecorder::AppendTo(Ring& ring, TimeNs t, double v) {
-  if (max_samples_ == 0 || ring.samples.size() < max_samples_) {
-    // Capped rings are reserve()d at plan build, so this push_back never
-    // grows on the capped path.
-    ring.samples.push_back(Sample{t, v});
-    return;
-  }
-  ring.samples[ring.head] = Sample{t, v};
-  if (++ring.head == ring.samples.size()) {
-    ring.head = 0;  // compare-and-reset; no modulo on the tick path
-  }
-  ring.wrapped = true;
-  ++dropped_;
-}
-
-std::vector<TimeSeriesRecorder::Sample> TimeSeriesRecorder::Unroll(const Ring& ring) {
-  if (!ring.wrapped) {
-    return ring.samples;
-  }
-  std::vector<Sample> out;
-  out.reserve(ring.samples.size());
-  for (size_t i = 0; i < ring.samples.size(); ++i) {
-    out.push_back(ring.samples[(ring.head + i) % ring.samples.size()]);
-  }
-  return out;
-}
-
 std::vector<TimeSeriesRecorder::Sample> TimeSeriesRecorder::Series(
     const std::string& name) const {
   MaterializeLog();
@@ -514,14 +471,14 @@ std::vector<TimeSeriesRecorder::Sample> TimeSeriesRecorder::Series(
   if (it == series_.end()) {
     return {};
   }
-  return Unroll(it->second);
+  return it->second;
 }
 
 std::vector<std::string> TimeSeriesRecorder::SeriesNames() const {
   MaterializeLog();
   std::vector<std::string> names;
   names.reserve(series_.size());
-  for (const auto& [name, ring] : series_) {
+  for (const auto& [name, samples] : series_) {
     names.push_back(name);
   }
   return names;
@@ -530,8 +487,8 @@ std::vector<std::string> TimeSeriesRecorder::SeriesNames() const {
 size_t TimeSeriesRecorder::total_samples() const {
   MaterializeLog();
   size_t n = 0;
-  for (const auto& [name, ring] : series_) {
-    n += ring.samples.size();
+  for (const auto& [name, samples] : series_) {
+    n += samples.size();
   }
   return n;
 }
@@ -843,8 +800,9 @@ std::string RunGitDescribe() {
   return out;
 }
 
-// The one process-wide cache in the telemetry layer. Every sweep worker
-// exporting a manifest reads it concurrently, so it is explicitly guarded
+// The one process-wide cache in the telemetry layer. Every simulation
+// thread exporting a manifest may read it concurrently (the MultiInstance
+// tests drive two from two threads), so it is explicitly guarded
 // and annotated rather than left as a magic static hiding a popen() — the
 // subprocess spawn runs exactly once, under the lock, and the returned
 // reference is immutable afterwards (annotation-checked under clang,

@@ -18,9 +18,9 @@
 //                    the id (flat-vector index), never the name.
 //
 //   TimeSeriesRecorder  samples watched metrics on a fixed cadence into
-//                    append/ring buffers through a *compiled sample plan*:
-//                    watch names and prefixes resolve to (MetricId, Ring*)
-//                    pairs once, re-resolved only when the registry
+//                    append-only buffers through a *compiled sample plan*:
+//                    watch names and prefixes resolve to (MetricId, series
+//                    id) pairs once, re-resolved only when the registry
 //                    generation changes, so a tick touches no strings and
 //                    no maps. Ticks are *daemon* events
 //                    (Scheduler::ScheduleDaemonAfter), so an attached
@@ -394,14 +394,14 @@ class ScopedMetrics {
 // simply stops extending its series.
 //
 // Ticks run off a compiled sample plan: watches and prefixes resolve once
-// to (MetricId, Ring*) pairs, re-resolved only when the registry
+// to (MetricId, series id) pairs, re-resolved only when the registry
 // generation changes, so the per-tick cost is an id-indexed read plus a
-// ring append per watched metric — no string compares, no map lookups.
+// log append per watched metric — no string compares, no map lookups.
 class TimeSeriesRecorder {
  public:
   struct Sample {
     // The user-provided (empty) default constructor leaves members
-    // uninitialized on purpose: MaterializeLog resize()s rings and then
+    // uninitialized on purpose: MaterializeLog resize()s series and then
     // overwrites every slot, and value-initialization would memset
     // megabytes only to throw the zeros away.
     Sample() {}
@@ -424,15 +424,6 @@ class TimeSeriesRecorder {
   void WatchPrefix(std::string prefix);
   void WatchAll() { WatchPrefix(""); }
 
-  // Ring capacity per series; 0 (default) = unbounded append. When capped,
-  // rings are preallocated at plan build, the newest samples win, and
-  // dropped_samples() counts the overwritten.
-  void set_max_samples_per_series(size_t n) {
-    MaterializeLog();  // drain the flat log before the mode can change
-    max_samples_ = n;
-    plan_generation_ = 0;  // re-plan so rings preallocate to the new cap
-  }
-
   // Test seam: rebuild the sample plan on every tick instead of only on
   // generation change — the reference the cached plan is checked against.
   void set_replan_every_tick_for_test(bool v) { replan_every_tick_ = v; }
@@ -445,20 +436,18 @@ class TimeSeriesRecorder {
 
   TimeNs period() const { return period_; }
   uint64_t ticks() const { return ticks_; }
-  uint64_t dropped_samples() const { return dropped_; }
 
   // How many times the sample plan was compiled — equals the number of
   // registry-churn episodes the recorder saw (plus the initial build).
   // ticks() >> plan_rebuilds() is the signature of a healthy hot path.
   uint64_t plan_rebuilds() const { return plan_rebuilds_; }
 
-  // Number of distinct recorded series / total live samples across them
-  // (capped rings count their current occupancy, not overwritten history).
+  // Number of distinct recorded series / total samples across them.
   size_t series_count() const { return series_.size(); }
   size_t total_samples() const;
 
   // Recorded series for `name`, oldest sample first (empty if never
-  // sampled). Materializes ring order; cheap for append-mode series.
+  // sampled).
   std::vector<Sample> Series(const std::string& name) const;
 
   // Names with at least one sample, sorted.
@@ -468,24 +457,14 @@ class TimeSeriesRecorder {
   template <typename Fn>
   void ForEachSeries(Fn&& fn) const {
     MaterializeLog();
-    for (const auto& [name, buf] : series_) {
-      if (buf.wrapped) {
-        fn(name, Unroll(buf));
-      } else {
-        fn(name, buf.samples);  // already oldest-first; no rotate, no copy
-      }
+    for (const auto& [name, samples] : series_) {
+      fn(name, samples);
     }
   }
 
  private:
-  struct Ring {
-    std::vector<Sample> samples;
-    size_t head = 0;  // index of oldest when wrapped
-    bool wrapped = false;
-  };
-
-  // Uncapped ticks append to a value-stream log — contiguous cursors
-  // instead of ~N scattered ring tails — and readers demux into the rings
+  // Ticks append to a value-stream log — contiguous cursors instead of ~N
+  // scattered series tails — and readers demux into the per-series vectors
   // later. A tick stores one timestamp plus its values in plan order; the
   // sid sequence those values map to is snapshotted once per plan epoch,
   // so the per-sample record is just the 8-byte double.
@@ -494,27 +473,12 @@ class TimeSeriesRecorder {
     uint64_t ticks = 0;          // ticks recorded under this epoch
   };
 
-  // One compiled sample: call `read.fn(read.obj)`, then append — to the
-  // flat log (uncapped; sid implied by plan position via the epoch
-  // snapshot) or straight into `ring` (capped). Rings live in the
-  // node-stable `series_` map, so the pointers survive re-plans, and
-  // compiled reads share the id contract: valid until the registry
-  // generation moves, which forces a rebuild before the next sample.
-  struct PlanEntry {
-    MetricRegistry::CompiledRead read;
-    uint32_t sid;
-    Ring* ring;
-  };
-
-  static std::vector<Sample> Unroll(const Ring& ring);
-
   void Tick();
   void RebuildPlan();
   void AddPlanEntry(const std::string& name, MetricId id);
-  void AppendTo(Ring& ring, TimeNs t, double v);
-  // Demuxes the flat log into the per-series rings (counted reserve, one
-  // pass); cold path, called by readers and on mode changes. Const because
-  // every accessor needs it; only the log and ring contents move.
+  // Demuxes the flat log into the per-series vectors (counted reserve, one
+  // pass); cold path, called by readers. Const because every accessor
+  // needs it; only the log and series contents move.
   void MaterializeLog() const;
   void GrowLogV(size_t need) const;  // ensures capacity for `need` more
 
@@ -522,9 +486,11 @@ class TimeSeriesRecorder {
   MetricRegistry* registry_;
   std::vector<std::string> watches_;
   std::vector<std::string> prefixes_;
-  std::map<std::string, Ring> series_;
+  std::map<std::string, std::vector<Sample>> series_;
   std::map<std::string, uint32_t> sid_by_name_;
-  std::vector<Ring*> rings_by_sid_;  // map-node stable targets for demux
+  // Demux targets by sid: series_ map nodes are stable, so the pointers
+  // survive re-plans.
+  std::vector<std::vector<Sample>*> series_by_sid_;
   // Value log, tick-major. A raw buffer instead of std::vector<double>
   // because resize() value-initializes: the tick path would memset every
   // slot it is about to overwrite. GrowLogV keeps amortized growth.
@@ -535,19 +501,18 @@ class TimeSeriesRecorder {
   mutable std::vector<LogEpoch> log_epochs_;
   // Plan changed (or the log drained) since the last epoch snapshot.
   mutable bool epoch_dirty_ = true;
-  std::vector<PlanEntry> plan_;
-  // plan_[i].read duplicated densely (16B vs 32B stride): the uncapped tick
-  // loop streams this array once per tick, so half the stride is half the
-  // cache traffic on the hottest loop in the recorder.
+  // The compiled sample plan, as two parallel arrays: the tick loop streams
+  // the dense reads once per tick, and the sids are only copied when an
+  // epoch begins. Compiled reads are valid until the registry generation
+  // moves, which forces a rebuild before the next sample.
   std::vector<MetricRegistry::CompiledRead> plan_reads_;
+  std::vector<uint32_t> plan_sids_;
   uint64_t plan_generation_ = 0;  // registry generation the plan matches;
                                   // 0 = never built (registry starts at 1)
   uint64_t plan_rebuilds_ = 0;
   bool replan_every_tick_ = false;
   TimeNs period_ = 0;
-  size_t max_samples_ = 0;
   uint64_t ticks_ = 0;
-  uint64_t dropped_ = 0;
   bool running_ = false;
   Scheduler::EventId tick_event_;
 };

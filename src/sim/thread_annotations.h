@@ -2,19 +2,21 @@
 //
 // The simulator's threading model is *confinement*: one simulation instance
 // (Network, Scheduler, PacketPool, registries, apps) is owned end-to-end by
-// exactly one thread, and the sweep runner (src/sim/sweep.h) runs many such
-// instances on a small worker pool. Under that model almost nothing needs a
-// lock — the only legitimate cross-thread state is the handful of
-// process-wide caches (e.g. the git-describe cache in src/sim/telemetry.cc)
-// and the sweep runner's own work queue.
+// exactly one thread. src/ starts no threads itself — sweeps run each
+// instance in its own forked process (src/sim/supervisor.h) — but an
+// embedder may drive several instances from its own threads, as the
+// MultiInstance tests do. Under that model almost nothing needs a lock: the
+// only legitimate cross-thread state is the handful of process-wide caches
+// (the git-describe cache in src/sim/telemetry.cc, the flight-recorder
+// post-mortem registry in src/sim/flight.cc).
 //
 // This header makes both halves of the model checkable at compile time with
 // Clang's -Wthread-safety (the capability/annotation system described in
 // "C/C++ Thread Safety Analysis", CAV 2014, and used throughout abseil):
 //
 //   * every mutex in src/ must be a tfc::Mutex (tools/lint.py bans raw
-//     std::mutex outside this header and src/sim/sweep.cc), so every lock
-//     is visible to the analysis;
+//     std::mutex outside this header), so every lock is visible to the
+//     analysis;
 //   * shared data carries TFC_GUARDED_BY(mu), and functions that expect a
 //     lock held carry TFC_REQUIRES(mu); forgetting the lock is then a
 //     compile error under clang, not a TSan report you hope to trigger.
@@ -29,7 +31,6 @@
 #ifndef SRC_SIM_THREAD_ANNOTATIONS_H_
 #define SRC_SIM_THREAD_ANNOTATIONS_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -103,11 +104,6 @@ class TFC_CAPABILITY("mutex") Mutex {
 
   void Lock() TFC_ACQUIRE() { mu_.lock(); }
   void Unlock() TFC_RELEASE() { mu_.unlock(); }
-  bool TryLock() TFC_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  // For CondVar::Wait only: the analysis treats the wait as keeping the
-  // capability held, which matches condition_variable semantics.
-  std::mutex& native_handle() { return mu_; }
 
  private:
   std::mutex mu_;
@@ -127,31 +123,6 @@ class TFC_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-// Condition variable paired with tfc::Mutex. Wait takes the predicate form
-// only — bare waits invite the spurious-wakeup bugs that
-// bugprone-spuriously-wake-up-functions exists to catch.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  template <typename Predicate>
-  void Wait(Mutex* mu, Predicate pred) TFC_REQUIRES(mu) {
-    // The analysis cannot see through unique_lock's adopt/release dance, but
-    // the capability is genuinely held on entry and exit.
-    std::unique_lock<std::mutex> lock(mu->native_handle(), std::adopt_lock);
-    cv_.wait(lock, std::move(pred));
-    lock.release();  // ownership stays with the caller's MutexLock
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace tfc

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -153,6 +154,63 @@ TEST(SupervisorTest, DoneMarkerRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Ordering: results in submission order, whatever order children finish in
+// ---------------------------------------------------------------------------
+
+TEST(SupervisorTest, ResultsLandInSubmissionOrderWhenChildrenFinishOutOfOrder) {
+  // Six jobs on three workers, longest first: later submissions finish
+  // before earlier ones. Each child appends its index to a shared log as it
+  // finishes (O_APPEND keeps the one-byte writes whole), which proves the
+  // completion order really was scrambled.
+  const fs::path dir = FreshDir("tfc_supervisor_order");
+  const std::string finish_log = (dir / "finish_order").string();
+  constexpr int kJobs = 6;
+  RunSupervisor sup(FastOptions(/*workers=*/3));
+  for (int i = 0; i < kJobs; ++i) {
+    sup.Add("job" + std::to_string(i), "", "",
+            [i, finish_log](std::string* report) {
+              usleep(static_cast<useconds_t>((kJobs - i) * 40000));
+              *report = "hello from " + std::to_string(i) + "\n";
+              const int fd = open(finish_log.c_str(),
+                                  O_WRONLY | O_APPEND | O_CREAT, 0644);
+              const char c = static_cast<char>('0' + i);
+              const bool logged = fd >= 0 && write(fd, &c, 1) == 1;
+              if (fd >= 0) {
+                close(fd);
+              }
+              if (!logged) {
+                return 99;
+              }
+              return i == 4 ? 3 : 0;  // one deliberate failure
+            });
+  }
+  std::vector<SupervisedResult> results = sup.Run();
+
+  const std::string finished = ReadFile(finish_log);
+  ASSERT_EQ(finished.size(), static_cast<size_t>(kJobs)) << finished;
+  EXPECT_NE(finished, "012345") << "children finished in submission order";
+
+  ASSERT_EQ(results.size(), static_cast<size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i) {
+    const SupervisedResult& r = results[static_cast<size_t>(i)];
+    EXPECT_EQ(r.index, i);
+    EXPECT_EQ(r.name, "job" + std::to_string(i));
+    EXPECT_EQ(r.status, i == 4 ? RunStatus::kFailed : RunStatus::kOk);
+    EXPECT_EQ(r.exit_code, i == 4 ? 3 : 0);
+    EXPECT_EQ(r.attempts, 1);
+    EXPECT_GE(r.wall_seconds, 0.0);
+    // Each result carries its own child's report (the failed one followed
+    // by the supervisor's verdict line).
+    const std::string hello = "hello from " + std::to_string(i) + "\n";
+    if (i == 4) {
+      EXPECT_TRUE(r.report.starts_with(hello)) << r.report;
+    } else {
+      EXPECT_EQ(r.report, hello);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Crash isolation
 // ---------------------------------------------------------------------------
 
@@ -265,7 +323,7 @@ TEST(SupervisorTest, HungChildIsKilledAtDeadline) {
 TEST(SupervisorTest, ThrowPreservesPartialReportAndMapsToExit70) {
   // Partial output buffered before the throw must survive into the result —
   // the child catches, appends the message, and ships the report over the
-  // pipe before exiting 70 (mirroring SweepRunner).
+  // pipe before exiting 70.
   RunSupervisor sup(FastOptions(1));
   sup.Add("throws", "", "", [](std::string* report) -> int {
     *report += "progress before the explosion\n";
@@ -514,10 +572,17 @@ TEST(SupervisorTest, ManifestRecordsPerRunStatusSignalAndSalvage) {
   const std::string path = (dir / "sweep.json").string();
   RunManifest extra;
   extra.Set("tool", "supervisor_test");
+  extra.SetInt("sweep", 2);
   std::string error;
   ASSERT_TRUE(WriteSweepManifest(path, extra, results, &error)) << error;
   const std::string json = ReadFile(path);
   EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
+  // Sweep-level config from `extra`, and one entry per run.
+  EXPECT_NE(json.find("\"tool\": \"supervisor_test\""), std::string::npos);
+  EXPECT_NE(json.find("\"sweep\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"index\": 0, \"name\": \"good\""), std::string::npos);
+  EXPECT_NE(json.find("\"index\": 1, \"name\": \"bad\""), std::string::npos);
+  EXPECT_NE(json.find("\"attempts\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos);
   std::ostringstream sig;

@@ -1,17 +1,19 @@
-// Parallel experiment-sweep runner (src/sim/sweep.h) + multi-instance
-// thread-compatibility of the simulator core.
+// Sweep determinism on the run supervisor (src/sim/supervisor.h) +
+// multi-instance thread-compatibility of the simulator core.
 //
 // The contract under test is the one the Fig. 15/16 large-scale sweeps
-// depend on: running N independent simulations on a worker pool must
-// produce *bit-identical* per-run output to running them serially — the
-// pool changes wall-clock, never results. The MultiInstance tests are the
-// regression tests for the shared-state sweep (process-wide caches such as
+// depend on: running N independent simulations as a supervised sweep must
+// produce *bit-identical* per-run output whether the sweep runs on 1 or N
+// workers — and identical to calling the same run directly in this
+// process, a reference that involves no executor at all. Job bodies run in
+// forked children, where a gtest EXPECT_* would be lost, so they report
+// failure through their exit code instead. The MultiInstance tests are the
+// regression tests for shared process-wide state (caches such as
 // GitDescribe) and are the designated prey of the tsan preset: any hidden
 // cross-simulation mutable state shows up here as a TSan report.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -23,7 +25,7 @@
 
 #include "src/net/fault.h"
 #include "src/net/network.h"
-#include "src/sim/sweep.h"
+#include "src/sim/supervisor.h"
 #include "src/sim/telemetry.h"
 #include "src/topo/topologies.h"
 #include "src/workload/incast.h"
@@ -45,9 +47,11 @@ Protocol ProtocolForIndex(int i) {
 
 // One self-contained Fig. 4 testbed incast run: builds its own Network,
 // runs to completion, and (when `dir` is non-empty) exports a telemetry run
-// directory. Returns a compact result line so sweeps can also be compared
-// without touching the filesystem.
-std::string RunTestbedIncast(uint64_t seed, Protocol protocol, const std::string& dir) {
+// directory. Appends a compact result line to *report so sweeps can also be
+// compared without touching the filesystem. Returns nonzero when the export
+// fails: in a forked child the exit code is the only failure signal.
+int RunTestbedIncast(uint64_t seed, Protocol protocol, const std::string& dir,
+                     std::string* report) {
   ProtocolSuite suite;
   suite.protocol = protocol;
   Network net(seed);
@@ -71,108 +75,67 @@ std::string RunTestbedIncast(uint64_t seed, Protocol protocol, const std::string
   net.scheduler().Run();
   recorder.Stop();
 
+  std::ostringstream line;
+  line << ProtocolName(protocol) << " seed=" << seed
+       << " rounds=" << app.rounds_completed() << " goodput=" << app.goodput_bps()
+       << " executed=" << net.scheduler().executed();
+  *report += line.str();
+
   if (!dir.empty()) {
     RunManifest manifest;
     manifest.Set("protocol", suite.name());
     manifest.SetInt("seed", static_cast<int64_t>(seed));
     std::string error;
-    EXPECT_TRUE(WriteRunDirectory(dir, manifest, net.metrics(), &recorder,
-                                  &net.profiler(), &error))
-        << error;
+    if (!WriteRunDirectory(dir, manifest, net.metrics(), &recorder,
+                           &net.profiler(), &error)) {
+      *report += " export failed: " + error;
+      return 1;
+    }
   }
+  return 0;
+}
 
-  std::ostringstream line;
-  line << ProtocolName(protocol) << " seed=" << seed
-       << " rounds=" << app.rounds_completed() << " goodput=" << app.goodput_bps()
-       << " executed=" << net.scheduler().executed();
-  return line.str();
+// The result line alone, for callers that run on plain threads.
+std::string TestbedIncastLine(uint64_t seed, Protocol protocol) {
+  std::string line;
+  EXPECT_EQ(RunTestbedIncast(seed, protocol, /*dir=*/"", &line), 0) << line;
+  return line;
+}
+
+// Supervised sweep of `jobs` on `workers` children; each job's report, in
+// submission order. Fails the test if any run did not finish ok.
+using SweepJob = RunSupervisor::JobFn;
+std::vector<std::string> RunSupervised(int workers, const std::vector<SweepJob>& jobs) {
+  SupervisorOptions options;
+  options.workers = workers;
+  RunSupervisor supervisor(options);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    supervisor.Add("run-" + std::to_string(i), /*run_dir=*/"", /*cache_key=*/"",
+                   jobs[i]);
+  }
+  std::vector<std::string> reports;
+  for (const SupervisedResult& r : supervisor.Run()) {
+    EXPECT_EQ(r.status, RunStatus::kOk) << r.name << ": " << r.report;
+    EXPECT_EQ(r.attempts, 1) << r.name;
+    reports.push_back(r.report);
+  }
+  return reports;
+}
+
+// The same jobs called directly in this process, one after another: the
+// executor-free reference every supervised sweep must reproduce.
+std::vector<std::string> RunDirect(const std::vector<SweepJob>& jobs) {
+  std::vector<std::string> reports;
+  for (const SweepJob& job : jobs) {
+    std::string report;
+    EXPECT_EQ(job(&report), 0) << report;
+    reports.push_back(report);
+  }
+  return reports;
 }
 
 // ---------------------------------------------------------------------------
-// SweepRunner mechanics
-// ---------------------------------------------------------------------------
-
-TEST(SweepRunnerTest, ResultsLandInSubmissionOrderWithBufferedReports) {
-  SweepRunner runner(/*workers=*/4);
-  constexpr int kJobs = 16;
-  for (int i = 0; i < kJobs; ++i) {
-    runner.Add("job" + std::to_string(i), [i](std::string* report) {
-      *report = "hello from " + std::to_string(i) + "\n";
-      return i == 11 ? 3 : 0;  // one deliberate failure
-    });
-  }
-  std::vector<SweepResult> results = runner.Run();
-  ASSERT_EQ(results.size(), static_cast<size_t>(kJobs));
-  for (int i = 0; i < kJobs; ++i) {
-    const SweepResult& r = results[static_cast<size_t>(i)];
-    EXPECT_EQ(r.index, i);
-    EXPECT_EQ(r.name, "job" + std::to_string(i));
-    EXPECT_EQ(r.report, "hello from " + std::to_string(i) + "\n");
-    EXPECT_EQ(r.exit_code, i == 11 ? 3 : 0);
-    EXPECT_GE(r.wall_seconds, 0.0);
-  }
-}
-
-TEST(SweepRunnerTest, SerialRunnerExecutesInline) {
-  // workers=1 must run jobs in the calling thread, in order.
-  SweepRunner runner(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> order{0};
-  for (int i = 0; i < 4; ++i) {
-    runner.Add("s" + std::to_string(i), [i, caller, &order](std::string*) {
-      EXPECT_EQ(std::this_thread::get_id(), caller);
-      EXPECT_EQ(order.fetch_add(1), i);
-      return 0;
-    });
-  }
-  std::vector<SweepResult> results = runner.Run();
-  EXPECT_EQ(results.size(), 4u);
-  EXPECT_EQ(order.load(), 4);
-}
-
-TEST(SweepRunnerTest, ThrowingJobBecomesExitCode70) {
-  SweepRunner runner(2);
-  runner.Add("ok", [](std::string*) { return 0; });
-  runner.Add("throws", [](std::string*) -> int {
-    throw std::runtime_error("boom");
-  });
-  std::vector<SweepResult> results = runner.Run();
-  EXPECT_EQ(results[0].exit_code, 0);
-  EXPECT_EQ(results[1].exit_code, 70);
-  EXPECT_NE(results[1].report.find("boom"), std::string::npos);
-}
-
-TEST(SweepRunnerTest, ManifestListsEveryRun) {
-  SweepRunner runner(2);
-  for (int i = 0; i < 3; ++i) {
-    runner.Add("m" + std::to_string(i), [](std::string*) { return 0; });
-  }
-  std::vector<SweepResult> results = runner.Run();
-  const std::string path =
-      ::testing::TempDir() + "/tfc_sweep_manifest_test/sweep.json";
-  std::filesystem::remove_all(std::filesystem::path(path).parent_path());
-  RunManifest extra;
-  extra.Set("tool", "sweep_test");
-  extra.SetInt("sweep", 3);
-  std::string error;
-  ASSERT_TRUE(WriteSweepManifest(path, extra, results, &error)) << error;
-  std::ifstream f(path);
-  std::stringstream text;
-  text << f.rdbuf();
-  const std::string json = text.str();
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"tool\": \"sweep_test\""), std::string::npos);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NE(json.find("\"name\": \"m" + std::to_string(i) + "\""),
-              std::string::npos);
-  }
-  // In-process results become single-attempt v2 rows.
-  EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
-  EXPECT_NE(json.find("\"attempts\": 1"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel == serial, bit for bit
+// 1 worker == N workers == direct call, bit for bit
 // ---------------------------------------------------------------------------
 
 std::string ReadFile(const std::filesystem::path& p) {
@@ -208,55 +171,58 @@ TEST(SweepTest, EightRunParallelSweepIsBitIdenticalToSerial) {
   constexpr int kRuns = 8;
 
   // Mixed TFC/DCTCP/TCP over the Fig. 4 testbed, distinct seeds — the same
-  // grid twice: once serial, once on 8 workers.
-  std::vector<std::string> serial_lines;
-  std::vector<std::string> parallel_lines;
-  for (const char* mode : {"serial", "parallel"}) {
-    SweepRunner runner(mode == std::string("serial") ? 1 : 8);
+  // grid three times: directly in this process, supervised on 1 worker,
+  // and supervised on 8 workers.
+  const auto grid = [&base](const char* mode) {
+    std::vector<SweepJob> jobs;
     for (int i = 0; i < kRuns; ++i) {
       const std::string dir = (base / mode / ("run-" + std::to_string(i))).string();
       const uint64_t seed = 100 + static_cast<uint64_t>(i);
       const Protocol protocol = ProtocolForIndex(i);
-      runner.Add("run-" + std::to_string(i), [seed, protocol, dir](std::string* report) {
-        *report = RunTestbedIncast(seed, protocol, dir);
-        return 0;
+      jobs.push_back([seed, protocol, dir](std::string* report) {
+        return RunTestbedIncast(seed, protocol, dir, report);
       });
     }
-    for (const SweepResult& r : runner.Run()) {
-      ASSERT_EQ(r.exit_code, 0) << r.name << ": " << r.report;
-      (mode == std::string("serial") ? serial_lines : parallel_lines)
-          .push_back(r.report);
-    }
-  }
+    return jobs;
+  };
+  const std::vector<std::string> direct = RunDirect(grid("direct"));
+  const std::vector<std::string> serial = RunSupervised(1, grid("serial"));
+  const std::vector<std::string> parallel = RunSupervised(8, grid("parallel"));
 
   // Same results, in the same order.
-  ASSERT_EQ(serial_lines.size(), parallel_lines.size());
-  for (size_t i = 0; i < serial_lines.size(); ++i) {
-    EXPECT_EQ(serial_lines[i], parallel_lines[i]) << "run " << i;
+  ASSERT_EQ(direct.size(), static_cast<size_t>(kRuns));
+  ASSERT_EQ(serial.size(), direct.size());
+  ASSERT_EQ(parallel.size(), direct.size());
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(serial[i], direct[i]) << "run " << i;
+    EXPECT_EQ(parallel[i], direct[i]) << "run " << i;
   }
 
   // Same bytes on disk, file for file.
   for (int i = 0; i < kRuns; ++i) {
     const std::string run = "run-" + std::to_string(i);
-    for (const char* file : {"metrics.tfcb", "summary.json"}) {
-      EXPECT_EQ(ReadFile(base / "serial" / run / file),
-                ReadFile(base / "parallel" / run / file))
-          << run << "/" << file;
+    for (const char* mode : {"serial", "parallel"}) {
+      for (const char* file : {"metrics.tfcb", "summary.json"}) {
+        EXPECT_EQ(ReadFile(base / "direct" / run / file),
+                  ReadFile(base / mode / run / file))
+            << mode << "/" << run << "/" << file;
+      }
+      EXPECT_EQ(StripWallClockFields(ReadFile(base / "direct" / run / "manifest.json")),
+                StripWallClockFields(ReadFile(base / mode / run / "manifest.json")))
+          << mode << "/" << run << "/manifest.json";
     }
-    EXPECT_EQ(StripWallClockFields(ReadFile(base / "serial" / run / "manifest.json")),
-              StripWallClockFields(ReadFile(base / "parallel" / run / "manifest.json")))
-        << run << "/manifest.json";
   }
 }
 
 // ---------------------------------------------------------------------------
-// Fault-spec sweep: the PR 4 replay-equality contract survives the pool
+// Fault-spec sweep: the replay-equality contract survives supervision
 // ---------------------------------------------------------------------------
 
 // A seeded fault schedule over the testbed (parsed from the same spec string
 // the CLI accepts), reporting every injector counter plus per-flow delivery —
-// the field-for-field replay signature from tests/chaos_test.cc.
-std::string RunFaultCase(uint64_t seed) {
+// the field-for-field replay signature from tests/chaos_test.cc. Returns
+// nonzero if the spec does not parse.
+int RunFaultCase(uint64_t seed, std::string* report) {
   Network net(seed);
   net.EnableAudit(Milliseconds(1));
   TestbedTopology topo = BuildTestbed(net);
@@ -267,7 +233,10 @@ std::string RunFaultCase(uint64_t seed) {
   const std::string text =
       "drop=0.004,ge=0.01/0.3/0.6,flap=2ms/300us,wipe=8ms,start=1ms,stop=30ms,seed=" +
       std::to_string(seed * 977 + 13);
-  EXPECT_TRUE(FaultSpec::Parse(text, &spec, &error)) << error;
+  if (!FaultSpec::Parse(text, &spec, &error)) {
+    *report += "bad fault spec: " + error;
+    return 1;
+  }
   FaultInjector inject(&net, spec.seed);
   inject.ApplySpec(spec);
 
@@ -294,34 +263,31 @@ std::string RunFaultCase(uint64_t seed) {
     line << " d=" << f->delivered_bytes();
   }
   line << " audit_ok=" << net.RunAudit().ok();
-  return line.str();
+  *report += line.str();
+  return 0;
 }
 
 TEST(SweepTest, FaultSpecSweepReplaysIdenticallyAcrossPoolSizes) {
   constexpr int kRuns = 6;
-  std::vector<std::string> by_pool[2];
-  int which = 0;
-  for (int workers : {1, 6}) {
-    SweepRunner runner(workers);
-    for (int i = 0; i < kRuns; ++i) {
-      const uint64_t seed = 7 + static_cast<uint64_t>(i);
-      runner.Add("fault-" + std::to_string(i), [seed](std::string* report) {
-        *report = RunFaultCase(seed);
-        return 0;
-      });
-    }
-    for (const SweepResult& r : runner.Run()) {
-      ASSERT_EQ(r.exit_code, 0);
-      by_pool[which].push_back(r.report);
-    }
-    ++which;
+  std::vector<SweepJob> jobs;
+  for (int i = 0; i < kRuns; ++i) {
+    const uint64_t seed = 7 + static_cast<uint64_t>(i);
+    jobs.push_back([seed](std::string* report) { return RunFaultCase(seed, report); });
   }
-  ASSERT_EQ(by_pool[0].size(), by_pool[1].size());
-  for (size_t i = 0; i < by_pool[0].size(); ++i) {
-    EXPECT_EQ(by_pool[0][i], by_pool[1][i]) << "fault case " << i;
+  const std::vector<std::string> direct = RunDirect(jobs);
+  ASSERT_EQ(direct.size(), static_cast<size_t>(kRuns));
+  for (int workers : {1, 6}) {
+    const std::vector<std::string> supervised = RunSupervised(workers, jobs);
+    ASSERT_EQ(supervised.size(), direct.size());
+    for (size_t i = 0; i < direct.size(); ++i) {
+      EXPECT_EQ(supervised[i], direct[i]) << "fault case " << i << " on "
+                                          << workers << " worker(s)";
+    }
+  }
+  for (const std::string& line : direct) {
     // The schedule actually injected something.
-    EXPECT_NE(by_pool[0][i].find(" drops="), std::string::npos);
-    EXPECT_EQ(by_pool[0][i].find(" drops=0 "), std::string::npos) << by_pool[0][i];
+    EXPECT_NE(line.find(" drops="), std::string::npos);
+    EXPECT_EQ(line.find(" drops=0 "), std::string::npos) << line;
   }
 }
 
@@ -334,15 +300,13 @@ TEST(MultiInstanceTest, TwoSimulationsRunConcurrentlyFromTwoThreads) {
   // plain threads with overlapping lifetimes. Before the shared-state sweep
   // this was undefined behavior waiting to be scheduled (shared telemetry
   // caches); now it must produce exactly the single-threaded results.
-  const std::string expect_a =
-      RunTestbedIncast(/*seed=*/41, Protocol::kTfc, /*dir=*/"");
-  const std::string expect_b =
-      RunTestbedIncast(/*seed=*/42, Protocol::kDctcp, /*dir=*/"");
+  const std::string expect_a = TestbedIncastLine(/*seed=*/41, Protocol::kTfc);
+  const std::string expect_b = TestbedIncastLine(/*seed=*/42, Protocol::kDctcp);
 
   std::string got_a;
   std::string got_b;
-  std::thread ta([&got_a] { got_a = RunTestbedIncast(41, Protocol::kTfc, ""); });
-  std::thread tb([&got_b] { got_b = RunTestbedIncast(42, Protocol::kDctcp, ""); });
+  std::thread ta([&got_a] { got_a = TestbedIncastLine(41, Protocol::kTfc); });
+  std::thread tb([&got_b] { got_b = TestbedIncastLine(42, Protocol::kDctcp); });
   ta.join();
   tb.join();
   EXPECT_EQ(got_a, expect_a);

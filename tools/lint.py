@@ -30,12 +30,12 @@ Rules enforced (see docs/correctness.md):
                   counter/metric justifying the loss (e.g. host teardown
                   drops, arbiter expiry).
   raw-thread      threading primitives in src/ must be the annotated wrappers
-                  from src/sim/thread_annotations.h (tfc::Mutex, MutexLock,
-                  CondVar) so clang's -Wthread-safety sees every lock. Raw
+                  from src/sim/thread_annotations.h (tfc::Mutex, MutexLock)
+                  so clang's -Wthread-safety sees every lock. Raw
                   std::mutex / std::lock_guard / std::thread & co. are
                   allowed only inside src/sim/thread_annotations.h (the
-                  wrappers themselves) and src/sim/sweep.cc (the worker
-                  pool). Suppress with `// lint:allow raw-thread`.
+                  wrappers themselves). Suppress with
+                  `// lint:allow raw-thread`.
   guarded-by      a tfc::Mutex that guards nothing is either dead or — worse
                   — a lock someone forgot to annotate: every Mutex declared
                   in src/ must have at least one TFC_GUARDED_BY /
@@ -51,8 +51,8 @@ Rules enforced (see docs/correctness.md):
                   raw-view escapes carry `// lint:allow units`.
   recorder-hot    the per-event recording hot paths must stay allocation-,
                   lookup-, and I/O-free. Three brace-matched scopes are
-                  scanned: the telemetry sampler (TimeSeriesRecorder::Tick /
-                  ::AppendTo and SpillWriter::AppendRecord in
+                  scanned: the telemetry sampler (TimeSeriesRecorder::Tick
+                  and SpillWriter::AppendRecord in
                   src/sim/telemetry.cc — no std::map / unordered_map, no
                   string-keyed lookups, no stream I/O; cold helpers like
                   RebuildPlan and Flush do that work), the flight-recorder
@@ -118,11 +118,9 @@ HOT_IO_ALLOWED_FILES = {
     # and offline loader); the per-event Record stays in flight.h and is
     # covered by the recorder-hot rule.
     "src/sim/flight.cc",
-    # The sweep runner writes the merged sweep manifest once per sweep —
-    # orchestration-layer I/O, never per event.
-    "src/sim/sweep.cc",
-    # The run supervisor forks/reaps children and reads their report pipes —
-    # cold orchestration I/O, once per run attempt, never per event.
+    # The run supervisor forks/reaps children, reads their report pipes, and
+    # writes the merged sweep manifest — cold orchestration I/O, once per
+    # run attempt or per sweep, never per event.
     "src/sim/supervisor.cc",
 }
 # packet-drop: the sanctioned drop-trace funnels. Everything else in src/
@@ -145,7 +143,6 @@ RAW_THREAD_RE = re.compile(
 )
 RAW_THREAD_ALLOWED_FILES = {
     "src/sim/thread_annotations.h",  # the wrappers themselves
-    "src/sim/sweep.cc",              # the worker pool (std::thread)
 }
 
 # guarded-by: a declared tfc::Mutex must be named by at least one
@@ -204,7 +201,7 @@ RECORDER_HOT_SCOPES = [
     (
         "src/sim/telemetry.cc",
         re.compile(
-            r"\b(?:TimeSeriesRecorder::(?:Tick|AppendTo)|SpillWriter::AppendRecord)\s*\("
+            r"\b(?:TimeSeriesRecorder::Tick|SpillWriter::AppendRecord)\s*\("
         ),
         RECORDER_HOT_LOOKUP_BAN_RE,
         "resolve in RebuildPlan / at Open time instead",
@@ -352,8 +349,8 @@ def lint_file(path: Path, rel: str) -> list[str]:
         ):
             errors.append(
                 f"{rel}:{lineno}: [raw-thread] use the annotated wrappers "
-                "from src/sim/thread_annotations.h (tfc::Mutex / MutexLock / "
-                "CondVar), not raw std threading primitives"
+                "from src/sim/thread_annotations.h (tfc::Mutex / MutexLock), "
+                "not raw std threading primitives"
             )
         if (
             rel.startswith(UNITS_LAYERS)

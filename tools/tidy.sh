@@ -2,7 +2,8 @@
 # clang-tidy gate over every first-party translation unit. Check groups
 # live in .clang-tidy (bugprone-*, concurrency-*, performance-*, a
 # modernize subset); concurrency-* exists for the one threaded corner of
-# the tree — the sweep worker pool and the annotated mutex wrappers.
+# the tree — the annotated mutex wrappers and the process-wide caches
+# they guard.
 #
 # Usage: tools/tidy.sh [build-dir]
 #   build-dir must contain compile_commands.json (any preset configures one:
