@@ -233,6 +233,7 @@ BENCHMARK(BM_IncastTestbedEventsPerSec)->Unit(benchmark::kMillisecond);
 void BM_IncastTestbedTelemetryOn(benchmark::State& state) {
   uint64_t events = 0;
   uint64_t samples = 0;
+  uint64_t runs = 0;
   double series = 0;
   for (auto _ : state) {
     ProtocolSuite suite;
@@ -259,18 +260,16 @@ void BM_IncastTestbedTelemetryOn(benchmark::State& state) {
     state.counters["plan_rebuilds"] =
         static_cast<double>(recorder.plan_rebuilds());
     series = static_cast<double>(recorder.SeriesNames().size());
-    uint64_t run_samples = 0;
-    recorder.ForEachSeries(
-        [&run_samples](const std::string&,
-                       const std::vector<TimeSeriesRecorder::Sample>& s) {
-          run_samples += s.size();
-        });
-    samples += run_samples;
+    samples += recorder.total_samples();
+    runs += recorder.total_runs();
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
   const double iters = static_cast<double>(state.iterations());
   state.counters["series"] = series;
   state.counters["samples"] = static_cast<double>(samples) / iters;
+  // Value runs the recorder stored for those samples: runs / samples is the
+  // busy-phase change rate the run-length storage cannot compress away.
+  state.counters["runs"] = static_cast<double>(runs) / iters;
   state.SetLabel("same incast with a 100us recorder on every metric");
 }
 BENCHMARK(BM_IncastTestbedTelemetryOn)->Unit(benchmark::kMillisecond);

@@ -20,10 +20,10 @@ namespace {
 //            i64 time, u64 seq, i32 a, i32 b, i32 c, i32 flow,
 //            i16 node, i16 port, u8 type, u8 ptype, u8 flags, u8 weight
 //
-// Fields are packed byte-by-byte (same idiom as telemetry.cc's SpillWriter)
-// so the file is identical regardless of host struct layout. Everything in
-// it derives from sim time and interned ids: a deterministic run dumps
-// deterministic bytes.
+// Fields are packed byte-by-byte (same idiom as telemetry.cc's metrics.tfcb
+// writer) so the file is identical regardless of host struct layout.
+// Everything in it derives from sim time and interned ids: a deterministic
+// run dumps deterministic bytes.
 // ---------------------------------------------------------------------------
 
 constexpr char kTfctMagic[4] = {'T', 'F', 'C', 'T'};
@@ -171,7 +171,9 @@ bool FlightRecorder::Dump(const std::string& path,
                           std::string* error) const {
   std::vector<unsigned char> buf;
   buf.reserve(kTfctHeaderBytes + size() * kTfctRecordBytes);
-  buf.insert(buf.end(), kTfctMagic, kTfctMagic + 4);
+  for (const char c : kTfctMagic) {
+    buf.push_back(static_cast<unsigned char>(c));
+  }
   PutU32(&buf, kTfctVersion);
   PutU32(&buf, kTfctRecordBytes);
   PutU32(&buf, static_cast<uint32_t>(node_names.size()));

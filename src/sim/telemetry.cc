@@ -7,11 +7,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <system_error>
 
 #include "src/sim/audit.h"
@@ -274,12 +274,6 @@ void TimeSeriesRecorder::Start(TimeNs period, TimeNs first_delay) {
   Stop();
   period_ = period;
   running_ = true;
-  if (log_v_cap_ == 0) {
-    // One large reservation up front: growing the value log by doubling
-    // measurably dominates recording cost (allocator churn + copy), and
-    // reserved-but-untouched pages are free.
-    GrowLogV(1u << 19);
-  }
   tick_event_ = scheduler_->ScheduleDaemonAfter(first_delay, [this] { Tick(); });
 }
 
@@ -298,6 +292,7 @@ void TimeSeriesRecorder::Stop() {
 // then prefix matches in registry name order minus the exact names — so
 // stateful callback gauges see an identical read sequence.
 void TimeSeriesRecorder::RebuildPlan() {
+  FoldTile();  // the tile's rows are laid out by the plan about to change
   ++plan_rebuilds_;
   plan_reads_.clear();
   plan_sids_.clear();
@@ -333,23 +328,22 @@ void TimeSeriesRecorder::RebuildPlan() {
         });
   }
   plan_generation_ = registry_->generation();
-  epoch_dirty_ = true;
+  if (tile_.size() < kTileTicks * plan_reads_.size()) {
+    tile_.resize(kTileTicks * plan_reads_.size());
+  }
 }
 
 void TimeSeriesRecorder::AddPlanEntry(const std::string& name, MetricId id) {
-  std::vector<Sample>& samples = series_[name];
+  auto [it, inserted] =
+      sid_by_name_.try_emplace(name, static_cast<uint32_t>(runs_.size()));
+  if (inserted) {
+    runs_.emplace_back();
+  }
   MetricRegistry::CompiledRead read;
   if (!registry_->CompileReadId(id, &read)) {
     // Defensive (the callers exclude histograms and dead ids): the series
     // exists but never extends, exactly as an unreadable metric behaved.
     return;
-  }
-  // Series ids persist for the recorder's lifetime (sid_by_name_ never
-  // shrinks), so flat-log records written under older plans stay valid.
-  auto [it, inserted] =
-      sid_by_name_.try_emplace(name, static_cast<uint32_t>(series_by_sid_.size()));
-  if (inserted) {
-    series_by_sid_.push_back(&samples);
   }
   plan_reads_.push_back(read);
   plan_sids_.push_back(it->second);
@@ -363,132 +357,113 @@ void TimeSeriesRecorder::Tick() {
   if (replan_every_tick_ || plan_generation_ != registry_->generation()) {
     RebuildPlan();
   }
-  // Append values to one contiguous stream instead of hundreds of
-  // scattered series tails; readers demux lazily (MaterializeLog). The sid
-  // each value belongs to is implied by its plan position — the sid order
-  // is snapshotted once per plan epoch — so the per-sample record on the
-  // hot path is just the 8-byte value.
-  if (epoch_dirty_) {
-    log_epochs_.push_back(LogEpoch{plan_sids_, 0});
-    epoch_dirty_ = false;
-  }
-  // Write through a raw cursor: reads can run arbitrary callback-gauge
-  // code, so everything the loop needs lives in locals the compiler can
-  // keep in registers instead of vector internals it must reload.
+  // One 8-byte store per sample into the tile row for this tick; comparing
+  // against the previous value here would put a branch per sample on the
+  // busy path, so run detection waits for FoldTile. Write through a raw
+  // cursor: reads can run arbitrary callback-gauge code, so everything the
+  // loop needs lives in locals the compiler can keep in registers instead
+  // of vector internals it must reload.
   const size_t n = plan_reads_.size();
-  if (log_v_cap_ - log_v_size_ < n) {
-    GrowLogV(n);
-  }
-  double* out = log_v_.get() + log_v_size_;
+  double* out = tile_.data() + tile_ticks_ * n;
   const MetricRegistry::CompiledRead* reads = plan_reads_.data();
   for (size_t pos = 0; pos < n; ++pos) {
     out[pos] = reads[pos].fn(reads[pos].obj);
   }
-  log_v_size_ += n;
-  log_t_.push_back(scheduler_->now());
-  ++log_epochs_.back().ticks;
+  tick_t_.push_back(scheduler_->now());
+  if (++tile_ticks_ == kTileTicks) {
+    FoldTile();
+  }
   tick_event_ = scheduler_->ScheduleDaemonAfter(period_, [this] { Tick(); });
 }
 
-void TimeSeriesRecorder::MaterializeLog() const {
-  if (log_t_.empty()) {
+void TimeSeriesRecorder::FoldTile() const {
+  const size_t n = tile_ticks_;
+  if (n == 0) {
     return;
   }
-  // Per-series sample counts fall out of the epoch snapshots (ticks x
-  // planned sids) without scanning the value stream; each series then grows
-  // exactly once, and a raw write cursor per sid replaces push_back so the
-  // single demux pass never touches the scattered vector headers.
-  std::vector<size_t> counts(series_by_sid_.size(), 0);
-  for (const LogEpoch& e : log_epochs_) {
-    for (uint32_t sid : e.sids) {
-      counts[sid] += e.ticks;
+  tile_ticks_ = 0;
+  TFC_CHECK_LE(tick_t_.size(), std::numeric_limits<uint32_t>::max());
+  const uint32_t first = static_cast<uint32_t>(tick_t_.size() - n);
+  const size_t width = plan_sids_.size();
+  // Series-major over the tick-major tile: each series' column is a
+  // strided walk through rows that stay cache-resident, and an idle series
+  // costs one compare per tick.
+  for (size_t pos = 0; pos < width; ++pos) {
+    std::vector<Run>& runs = runs_[plan_sids_[pos]];
+    // A run only continues across consecutive ticks: a series that missed
+    // the previous tick (it left the plan and came back) starts a new run
+    // even if its value is unchanged.
+    Run* last = nullptr;
+    uint64_t last_bits = 0;
+    if (!runs.empty() && runs.back().first_tick + runs.back().ticks == first) {
+      last = &runs.back();
+      last_bits = std::bit_cast<uint64_t>(last->v);
     }
-  }
-  std::vector<Sample*> cur(series_by_sid_.size(), nullptr);
-  for (size_t sid = 0; sid < counts.size(); ++sid) {
-    if (counts[sid] > 0) {
-      std::vector<Sample>& samples = *series_by_sid_[sid];
-      const size_t old = samples.size();
-      samples.resize(old + counts[sid]);
-      cur[sid] = samples.data() + old;
-    }
-  }
-  // The log is tick-major but each series wants its samples contiguous, so
-  // the demux is a transpose. Do it in tiles of kTileTicks ticks with a
-  // series-major inner loop: each series receives its tile chunk as one
-  // sequential burst (long store runs amortize cache-line and page costs),
-  // while the tile's value rows are small enough to stay cache-resident
-  // across the per-series strided reads. Ticks are chronological, so tile after tile
-  // keeps every series oldest-first.
-  constexpr size_t kTileTicks = 64;
-  Sample** const curp = cur.data();
-  const double* v = log_v_.get();
-  const TimeNs* tt = log_t_.data();
-  for (const LogEpoch& e : log_epochs_) {
-    const uint32_t* const sids = e.sids.data();
-    const size_t width = e.sids.size();
-    for (uint64_t done = 0; done < e.ticks; done += kTileTicks) {
-      const size_t tile =
-          static_cast<size_t>(std::min<uint64_t>(kTileTicks, e.ticks - done));
-      for (size_t pos = 0; pos < width; ++pos) {
-        Sample* s = curp[sids[pos]];
-        const double* vp = v + pos;
-        for (size_t k = 0; k < tile; ++k, vp += width) {
-          s[k] = Sample{tt[k], *vp};
-        }
-        curp[sids[pos]] = s + tile;
+    const double* vp = tile_.data() + pos;
+    for (size_t k = 0; k < n; ++k, vp += width) {
+      const uint64_t bits = std::bit_cast<uint64_t>(*vp);
+      if (last != nullptr && bits == last_bits) {
+        ++last->ticks;
+        continue;
       }
-      v += tile * width;
-      tt += tile;
+      runs.push_back(Run{first + static_cast<uint32_t>(k), 1, *vp});
+      last = &runs.back();
+      last_bits = bits;
     }
   }
-  log_v_size_ = 0;  // capacity is kept; the next run reuses the buffer
-  log_t_.clear();
-  log_epochs_.clear();
-  epoch_dirty_ = true;  // the next tick must re-snapshot its sid order
 }
 
-void TimeSeriesRecorder::GrowLogV(size_t need) const {
-  const size_t want = log_v_size_ + need;
-  size_t cap = log_v_cap_ < 4096 ? 4096 : log_v_cap_;
-  while (cap < want) {
-    cap *= 2;
+void TimeSeriesRecorder::ExpandRuns(const std::vector<Run>& runs,
+                                    std::vector<Sample>* out) const {
+  size_t samples = 0;
+  for (const Run& r : runs) {
+    samples += r.ticks;
   }
-  // new double[cap] (not make_unique) keeps the slack default-initialized
-  // instead of zero-filling memory the ticks will overwrite anyway.
-  std::unique_ptr<double[]> buf(new double[cap]);
-  if (log_v_size_ > 0) {
-    std::memcpy(buf.get(), log_v_.get(), log_v_size_ * sizeof(double));
+  out->clear();
+  out->reserve(samples);
+  for (const Run& r : runs) {
+    for (uint32_t k = r.first_tick; k < r.first_tick + r.ticks; ++k) {
+      out->push_back(Sample{tick_t_[k], r.v});
+    }
   }
-  log_v_ = std::move(buf);
-  log_v_cap_ = cap;
 }
 
 std::vector<TimeSeriesRecorder::Sample> TimeSeriesRecorder::Series(
     const std::string& name) const {
-  MaterializeLog();
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    return {};
+  std::vector<Sample> samples;
+  auto it = sid_by_name_.find(name);
+  if (it != sid_by_name_.end()) {
+    FoldTile();
+    ExpandRuns(runs_[it->second], &samples);
   }
-  return it->second;
+  return samples;
 }
 
 std::vector<std::string> TimeSeriesRecorder::SeriesNames() const {
-  MaterializeLog();
   std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, samples] : series_) {
+  names.reserve(sid_by_name_.size());
+  for (const auto& [name, sid] : sid_by_name_) {
     names.push_back(name);
   }
   return names;
 }
 
 size_t TimeSeriesRecorder::total_samples() const {
-  MaterializeLog();
+  FoldTile();
   size_t n = 0;
-  for (const auto& [name, samples] : series_) {
-    n += samples.size();
+  for (const std::vector<Run>& runs : runs_) {
+    for (const Run& r : runs) {
+      n += r.ticks;
+    }
+  }
+  return n;
+}
+
+size_t TimeSeriesRecorder::total_runs() const {
+  FoldTile();
+  size_t n = 0;
+  for (const std::vector<Run>& runs : runs_) {
+    n += runs.size();
   }
   return n;
 }
@@ -599,64 +574,139 @@ bool GetU64(const std::string& d, size_t& off, uint64_t* out) {
   return true;
 }
 
-}  // namespace
+// Legacy JSONL output, one {"t_ns": T, "name": "...", "v": V} line per
+// sample, written out in ~1 MB batches.
+class JsonlWriter {
+ public:
+  explicit JsonlWriter(const std::string& path)
+      : f_(path, std::ios::trunc | std::ios::binary) {}
+  bool is_open() const { return f_.is_open(); }
 
-bool SpillWriter::Open(const std::string& path, uint32_t series_count,
-                       uint64_t record_count) {
-  Close();
-  ok_ = true;
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    ok_ = false;
+  // `t` is the raw t_ns field; `tail` is everything after it
+  // (`, "name": "...", "v": V}\n`), rendered once per series value by
+  // JsonlTail.
+  void Line(int64_t t, const std::string& tail) {
+    char num[24];
+    const auto [end, ec] = std::to_chars(num, num + sizeof num, t);
+    buf_ += "{\"t_ns\": ";
+    buf_.append(num, end);
+    buf_ += tail;
+    if (buf_.size() >= kFlushBytes) {
+      Flush();
+    }
+  }
+
+  bool Close() {
+    Flush();
+    f_.close();
+    return !f_.fail();
+  }
+
+ private:
+  static constexpr size_t kFlushBytes = 1 << 20;
+  void Flush() {
+    f_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+  std::ofstream f_;
+  std::string buf_;
+};
+
+std::string JsonlTail(const std::string& quoted_name, double v) {
+  return ", \"name\": " + quoted_name + ", \"v\": " + JsonNumber(v) + "}\n";
+}
+
+// Version 1 body: one fixed-width record per sample.
+bool DecodeTfcbV1(const std::string& data, size_t off, uint64_t record_count,
+                  const std::vector<std::string>& quoted_names,
+                  const std::string& where, JsonlWriter& out, std::string* error) {
+  constexpr size_t kRecordBytes = 4 + 8 + 8;  // series_id, t_ns, v
+  if (data.size() - off != record_count * kRecordBytes) {
+    *error = where + ": record section is " + std::to_string(data.size() - off) +
+             " bytes, header promises " + std::to_string(record_count * kRecordBytes);
     return false;
   }
-  buf_.clear();
-  for (const char c : kTfcbMagic) {
-    buf_.push_back(static_cast<unsigned char>(c));
+  for (uint64_t i = 0; i < record_count; ++i) {
+    uint32_t series_id = 0;
+    uint64_t t_bits = 0;
+    uint64_t v_bits = 0;
+    GetU32(data, off, &series_id);
+    GetU64(data, off, &t_bits);
+    GetU64(data, off, &v_bits);
+    if (series_id >= quoted_names.size()) {
+      *error = where + ": record " + std::to_string(i) +
+               " names out-of-range series " + std::to_string(series_id);
+      return false;
+    }
+    out.Line(static_cast<int64_t>(t_bits),
+             JsonlTail(quoted_names[series_id], std::bit_cast<double>(v_bits)));
   }
-  PutU32(buf_, kTfcbVersion);
-  PutU32(buf_, series_count);
-  PutU64(buf_, record_count);
   return true;
 }
 
-void SpillWriter::AppendName(const std::string& name) {
-  if (buf_.size() + 4 + name.size() > kBufferBytes) {
-    Flush();
+// Version 2 body: the tick-time table, then value runs expanded one line
+// per covered tick.
+bool DecodeTfcbV2(const std::string& data, size_t off, uint64_t tick_count,
+                  uint64_t run_count, const std::vector<std::string>& quoted_names,
+                  const std::string& where, JsonlWriter& out, std::string* error) {
+  // Divide rather than multiply: the counts come from the file and may be
+  // large enough to overflow.
+  const uint64_t body = data.size() - off;
+  if (tick_count > body / 8 || (body - tick_count * 8) / kTfcbRunBytes != run_count ||
+      (body - tick_count * 8) % kTfcbRunBytes != 0) {
+    *error = where + ": body is " + std::to_string(body) + " bytes, header promises " +
+             std::to_string(tick_count) + " ticks and " + std::to_string(run_count) +
+             " runs";
+    return false;
   }
-  PutU32(buf_, static_cast<uint32_t>(name.size()));
-  buf_.insert(buf_.end(), name.begin(), name.end());
-}
-
-void SpillWriter::AppendRecord(uint32_t series_id, TimeNs t_ns, double v) {
-  if (buf_.size() + kRecordBytes > kBufferBytes) {
-    Flush();
+  std::vector<int64_t> tick_t(tick_count);
+  for (int64_t& t : tick_t) {
+    uint64_t bits = 0;
+    GetU64(data, off, &bits);
+    t = static_cast<int64_t>(bits);
   }
-  PutU32(buf_, series_id);
-  PutU64(buf_, static_cast<uint64_t>(t_ns.count()));
-  PutU64(buf_, std::bit_cast<uint64_t>(v));
-}
-
-void SpillWriter::Flush() {
-  if (file_ != nullptr && !buf_.empty()) {
-    if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size()) {
-      ok_ = false;
+  uint32_t prev_series = 0;
+  uint64_t prev_end = 0;  // one past the previous run's last tick
+  for (uint64_t i = 0; i < run_count; ++i) {
+    uint32_t series_id = 0;
+    uint32_t first_tick = 0;
+    uint32_t ticks = 0;
+    uint64_t v_bits = 0;
+    GetU32(data, off, &series_id);
+    GetU32(data, off, &first_tick);
+    GetU32(data, off, &ticks);
+    GetU64(data, off, &v_bits);
+    auto reject = [&](const std::string& why) {
+      *error = where + ": run " + std::to_string(i) + " " + why;
+      return false;
+    };
+    if (series_id >= quoted_names.size()) {
+      return reject("names out-of-range series " + std::to_string(series_id));
+    }
+    if (ticks == 0) {
+      return reject("covers zero ticks");
+    }
+    const uint64_t end = static_cast<uint64_t>(first_tick) + ticks;
+    if (end > tick_count) {
+      return reject("ends at tick " + std::to_string(end) + ", past tick_count " +
+                    std::to_string(tick_count));
+    }
+    if (i > 0 && (series_id < prev_series ||
+                  (series_id == prev_series && first_tick < prev_end))) {
+      return reject("is out of order or overlaps the run before it");
+    }
+    prev_series = series_id;
+    prev_end = end;
+    const std::string tail = JsonlTail(quoted_names[series_id], std::bit_cast<double>(v_bits));
+    for (uint64_t k = first_tick; k < end; ++k) {
+      out.Line(tick_t[k], tail);
     }
   }
-  buf_.clear();
+  return true;
 }
 
-bool SpillWriter::Close() {
-  if (file_ == nullptr) {
-    return ok_;
-  }
-  Flush();
-  if (std::fclose(file_) != 0) {
-    ok_ = false;
-  }
-  file_ = nullptr;
-  return ok_;
-}
+}  // namespace
 
 bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
                                const std::string& jsonl_path,
@@ -674,6 +724,8 @@ bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
                    std::istreambuf_iterator<char>());
   in.close();
 
+  // Both versions share the first 20 bytes: magic, version, series_count,
+  // and a u64 (v1 record_count, v2 tick_count). v2 adds a u64 run_count.
   size_t off = 0;
   if (data.size() < 20 ||
       data.compare(0, sizeof kTfcbMagic, kTfcbMagic, sizeof kTfcbMagic) != 0) {
@@ -683,19 +735,24 @@ bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
   off = sizeof kTfcbMagic;
   uint32_t version = 0;
   uint32_t series_count = 0;
-  uint64_t record_count = 0;
+  uint64_t count = 0;
+  uint64_t run_count = 0;
   GetU32(data, off, &version);
   GetU32(data, off, &series_count);
-  GetU64(data, off, &record_count);
-  if (version != kTfcbVersion) {
+  GetU64(data, off, &count);
+  if (version != 1 && version != kTfcbVersion) {
     *error = tfcb_path + ": unsupported TFCB version " + std::to_string(version);
+    return false;
+  }
+  if (version == kTfcbVersion && !GetU64(data, off, &run_count)) {
+    *error = tfcb_path + ": truncated header";
     return false;
   }
 
   // Name table; a name's position is its series_id. Pre-quote once so the
-  // record loop only concatenates.
+  // body loop only concatenates.
   std::vector<std::string> quoted_names;
-  quoted_names.reserve(series_count);
+  quoted_names.reserve(std::min<size_t>(series_count, data.size() / 4));
   for (uint32_t i = 0; i < series_count; ++i) {
     uint32_t len = 0;
     if (!GetU32(data, off, &len) || off + len > data.size()) {
@@ -706,42 +763,20 @@ bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
     off += len;
   }
 
-  if (data.size() - off != record_count * SpillWriter::kRecordBytes) {
-    *error = tfcb_path + ": record section is " +
-             std::to_string(data.size() - off) + " bytes, header promises " +
-             std::to_string(record_count * SpillWriter::kRecordBytes);
-    return false;
-  }
-
-  std::ofstream out(jsonl_path, std::ios::trunc);
-  if (!out) {
+  JsonlWriter out(jsonl_path);
+  if (!out.is_open()) {
     *error = "cannot open " + jsonl_path;
     return false;
   }
-  for (uint64_t i = 0; i < record_count; ++i) {
-    uint32_t series_id = 0;
-    uint64_t t_bits = 0;
-    uint64_t v_bits = 0;
-    GetU32(data, off, &series_id);
-    GetU64(data, off, &t_bits);
-    GetU64(data, off, &v_bits);
-    if (series_id >= series_count) {
-      *error = tfcb_path + ": record " + std::to_string(i) +
-               " names out-of-range series " + std::to_string(series_id);
-      return false;
-    }
-    // Byte-compatible with the legacy exporter line:
-    //   {"t_ns": T, "name": "...", "v": V}
-    out << "{\"t_ns\": " << static_cast<int64_t>(t_bits)
-        << ", \"name\": " << quoted_names[series_id]
-        << ", \"v\": " << JsonNumber(std::bit_cast<double>(v_bits)) << "}\n";
-  }
-  out.flush();
-  if (!out) {
+  const bool decoded =
+      version == 1
+          ? DecodeTfcbV1(data, off, count, quoted_names, tfcb_path, out, error)
+          : DecodeTfcbV2(data, off, count, run_count, quoted_names, tfcb_path, out, error);
+  if (!out.Close() && decoded) {
     *error = "write failed: " + jsonl_path;
     return false;
   }
-  return true;
+  return decoded;
 }
 
 // ---------------------------------------------------------------------------
@@ -859,36 +894,69 @@ bool WriteManifest(const std::string& path, const RunManifest& manifest,
 
 bool WriteMetricsTfcb(const std::string& path, const TimeSeriesRecorder* recorder,
                       std::string* error) {
-  SpillWriter w;
-  const uint32_t series_count =
-      recorder != nullptr ? static_cast<uint32_t>(recorder->series_count()) : 0;
-  const uint64_t record_count =
-      recorder != nullptr ? recorder->total_samples() : 0;
-  if (!w.Open(path, series_count, record_count)) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
     *error = "cannot open " + path;
     return false;
   }
-  if (recorder != nullptr) {
-    // SeriesNames() and ForEachSeries both walk the series map in name
+  constexpr size_t kFlushBytes = 256 * 1024;
+  std::vector<unsigned char> buf;
+  bool ok = true;
+  auto flush = [&] {
+    if (!buf.empty() && std::fwrite(buf.data(), 1, buf.size(), f) != buf.size()) {
+      ok = false;
+    }
+    buf.clear();
+  };
+  auto flush_if_full = [&] {
+    if (buf.size() >= kFlushBytes) {
+      flush();
+    }
+  };
+  for (const char c : kTfcbMagic) {
+    buf.push_back(static_cast<unsigned char>(c));
+  }
+  PutU32(buf, kTfcbVersion);
+  if (recorder == nullptr) {
+    PutU32(buf, 0);
+    PutU64(buf, 0);
+    PutU64(buf, 0);
+  } else {
+    PutU32(buf, static_cast<uint32_t>(recorder->series_count()));
+    PutU64(buf, recorder->tick_times().size());
+    PutU64(buf, recorder->total_runs());
+    // SeriesNames() and ForEachSeriesRuns both walk the series in name
     // order, so a series' position in the name table is its series_id.
     for (const std::string& name : recorder->SeriesNames()) {
-      w.AppendName(name);
+      PutU32(buf, static_cast<uint32_t>(name.size()));
+      buf.insert(buf.end(), name.begin(), name.end());
+      flush_if_full();
+    }
+    for (const TimeNs t : recorder->tick_times()) {
+      PutU64(buf, static_cast<uint64_t>(t.count()));
+      flush_if_full();
     }
     uint32_t series_id = 0;
-    recorder->ForEachSeries(
-        [&w, &series_id](const std::string&,
-                         const std::vector<TimeSeriesRecorder::Sample>& samples) {
-          for (const TimeSeriesRecorder::Sample& s : samples) {
-            w.AppendRecord(series_id, s.t, s.v);
+    recorder->ForEachSeriesRuns(
+        [&](const std::string&, const std::vector<TimeSeriesRecorder::Run>& runs) {
+          for (const TimeSeriesRecorder::Run& r : runs) {
+            PutU32(buf, series_id);
+            PutU32(buf, r.first_tick);
+            PutU32(buf, r.ticks);
+            PutU64(buf, std::bit_cast<uint64_t>(r.v));
+            flush_if_full();
           }
           ++series_id;
         });
   }
-  if (!w.Close()) {
-    *error = "write failed: " + path;
-    return false;
+  flush();
+  if (std::fclose(f) != 0) {
+    ok = false;
   }
-  return true;
+  if (!ok) {
+    *error = "write failed: " + path;
+  }
+  return ok;
 }
 
 void WriteHistogramJson(std::ofstream& f, const Histogram& h, const char* indent) {

@@ -18,7 +18,7 @@
 //                    the id (flat-vector index), never the name.
 //
 //   TimeSeriesRecorder  samples watched metrics on a fixed cadence into
-//                    append-only buffers through a *compiled sample plan*:
+//                    run-length series through a *compiled sample plan*:
 //                    watch names and prefixes resolve to (MetricId, series
 //                    id) pairs once, re-resolved only when the registry
 //                    generation changes, so a tick touches no strings and
@@ -28,10 +28,11 @@
 //                    "no leaked timers" pending() assertions.
 //
 //   Run exporter     writes a per-run directory: manifest.json (what ran),
-//                    metrics.tfcb (the recorded series, binary spill
-//                    format), summary.json (final snapshot of every metric
-//                    + profiler sites). ConvertMetricsTfcbToJsonl (exposed
-//                    as `tfcsim --convert`) renders the spill back to the
+//                    metrics.tfcb (the recorded series as value runs,
+//                    binary spill format), summary.json (final snapshot
+//                    of every metric + profiler sites).
+//                    ConvertMetricsTfcbToJsonl (exposed as
+//                    `tfcsim --convert`) renders the spill back to the
 //                    PR-3 metrics.jsonl byte-compatibly. Formats are
 //                    documented in docs/observability.md and validated by
 //                    tools/telemetry_schema.py in CI.
@@ -47,9 +48,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -387,28 +386,39 @@ class ScopedMetrics {
   std::vector<std::string> names_;
 };
 
-// Samples watched counters/gauges on a fixed cadence into per-metric
-// buffers. Ticks are daemon events: they fire inside Run()/RunUntil() like
-// any event but do not keep drain-mode Run() alive and are excluded from
+// Samples watched counters/gauges on a fixed cadence into per-series runs.
+// Ticks are daemon events: they fire inside Run()/RunUntil() like any
+// event but do not keep drain-mode Run() alive and are excluded from
 // pending(). A watched metric that disappears (its component unregistered)
 // simply stops extending its series.
 //
 // Ticks run off a compiled sample plan: watches and prefixes resolve once
 // to (MetricId, series id) pairs, re-resolved only when the registry
-// generation changes, so the per-tick cost is an id-indexed read plus a
-// log append per watched metric — no string compares, no map lookups.
+// generation changes, so the per-tick cost is an id-indexed read plus one
+// 8-byte store per watched metric — no string compares, no map lookups.
+//
+// Storage is run-length: a series keeps one Run per maximal stretch of
+// consecutive ticks over which it read a bitwise-identical value. Ticks
+// store into a small tick-major tile; every kTileTicks ticks (and before
+// any read or re-plan) FoldTile folds the tile into runs series by
+// series. Readers that want samples get the runs expanded on demand.
 class TimeSeriesRecorder {
  public:
   struct Sample {
-    // The user-provided (empty) default constructor leaves members
-    // uninitialized on purpose: MaterializeLog resize()s series and then
-    // overwrites every slot, and value-initialization would memset
-    // megabytes only to throw the zeros away.
-    Sample() {}
-    Sample(TimeNs t_, double v_) : t(t_), v(v_) {}
     TimeNs t;
     double v;
   };
+
+  // `ticks` consecutive recorder ticks, starting at tick index
+  // `first_tick`, that all read `v` (compared bitwise: 0.0 and -0.0 are
+  // different values, a repeated NaN payload is the same one).
+  struct Run {
+    uint32_t first_tick;
+    uint32_t ticks;
+    double v;
+  };
+
+  static constexpr size_t kTileTicks = 64;
 
   TimeSeriesRecorder(Scheduler* scheduler, MetricRegistry* registry)
       : scheduler_(scheduler), registry_(registry) {}
@@ -442,69 +452,71 @@ class TimeSeriesRecorder {
   // ticks() >> plan_rebuilds() is the signature of a healthy hot path.
   uint64_t plan_rebuilds() const { return plan_rebuilds_; }
 
-  // Number of distinct recorded series / total samples across them.
-  size_t series_count() const { return series_.size(); }
+  // Number of distinct recorded series; total samples and total runs
+  // across them.
+  size_t series_count() const { return sid_by_name_.size(); }
   size_t total_samples() const;
+  size_t total_runs() const;
+
+  // Timestamp of every tick so far, indexed by tick (Run::first_tick).
+  const std::vector<TimeNs>& tick_times() const { return tick_t_; }
 
   // Recorded series for `name`, oldest sample first (empty if never
   // sampled).
   std::vector<Sample> Series(const std::string& name) const;
 
-  // Names with at least one sample, sorted.
+  // Names of every planned series, sorted.
   std::vector<std::string> SeriesNames() const;
 
-  // Visits every (name, samples oldest-first) pair in name order.
+  // Visits every (name, runs oldest-first) pair in name order.
   template <typename Fn>
-  void ForEachSeries(Fn&& fn) const {
-    MaterializeLog();
-    for (const auto& [name, samples] : series_) {
-      fn(name, samples);
+  void ForEachSeriesRuns(Fn&& fn) const {
+    FoldTile();
+    for (const auto& [name, sid] : sid_by_name_) {
+      fn(name, runs_[sid]);
     }
   }
 
- private:
-  // Ticks append to a value-stream log — contiguous cursors instead of ~N
-  // scattered series tails — and readers demux into the per-series vectors
-  // later. A tick stores one timestamp plus its values in plan order; the
-  // sid sequence those values map to is snapshotted once per plan epoch,
-  // so the per-sample record is just the 8-byte double.
-  struct LogEpoch {
-    std::vector<uint32_t> sids;  // plan sid order when the epoch began
-    uint64_t ticks = 0;          // ticks recorded under this epoch
-  };
+  // Visits every (name, samples oldest-first) pair in name order, expanding
+  // one series at a time.
+  template <typename Fn>
+  void ForEachSeries(Fn&& fn) const {
+    std::vector<Sample> samples;
+    ForEachSeriesRuns([&](const std::string& name, const std::vector<Run>& runs) {
+      ExpandRuns(runs, &samples);
+      fn(name, samples);
+    });
+  }
 
+ private:
   void Tick();
   void RebuildPlan();
   void AddPlanEntry(const std::string& name, MetricId id);
-  // Demuxes the flat log into the per-series vectors (counted reserve, one
-  // pass); cold path, called by readers. Const because every accessor
-  // needs it; only the log and series contents move.
-  void MaterializeLog() const;
-  void GrowLogV(size_t need) const;  // ensures capacity for `need` more
+  // Folds the tile's tile_ticks_ rows into runs_ and empties the tile. The
+  // tile always holds samples of the current plan: RebuildPlan folds before
+  // it changes the plan. Const because every reader folds first; only the
+  // tile and the runs move.
+  void FoldTile() const;
+  void ExpandRuns(const std::vector<Run>& runs, std::vector<Sample>* out) const;
 
   Scheduler* scheduler_;
   MetricRegistry* registry_;
   std::vector<std::string> watches_;
   std::vector<std::string> prefixes_;
-  std::map<std::string, std::vector<Sample>> series_;
+  // Series ids persist for the recorder's lifetime (sid_by_name_ never
+  // shrinks); runs_ is indexed by sid.
   std::map<std::string, uint32_t> sid_by_name_;
-  // Demux targets by sid: series_ map nodes are stable, so the pointers
-  // survive re-plans.
-  std::vector<std::vector<Sample>*> series_by_sid_;
-  // Value log, tick-major. A raw buffer instead of std::vector<double>
-  // because resize() value-initializes: the tick path would memset every
-  // slot it is about to overwrite. GrowLogV keeps amortized growth.
-  mutable std::unique_ptr<double[]> log_v_;
-  mutable size_t log_v_size_ = 0;
-  mutable size_t log_v_cap_ = 0;
-  mutable std::vector<TimeNs> log_t_;  // one timestamp per tick
-  mutable std::vector<LogEpoch> log_epochs_;
-  // Plan changed (or the log drained) since the last epoch snapshot.
-  mutable bool epoch_dirty_ = true;
+  mutable std::vector<std::vector<Run>> runs_;
+  std::vector<TimeNs> tick_t_;  // one timestamp per tick
+  // Tick-major sample tile: row k holds the plan's values at tick
+  // tick_t_.size() - tile_ticks_ + k. Sized kTileTicks x plan width by
+  // RebuildPlan, so Tick never grows it.
+  mutable std::vector<double> tile_;
+  mutable size_t tile_ticks_ = 0;
   // The compiled sample plan, as two parallel arrays: the tick loop streams
-  // the dense reads once per tick, and the sids are only copied when an
-  // epoch begins. Compiled reads are valid until the registry generation
-  // moves, which forces a rebuild before the next sample.
+  // the dense reads, the fold maps plan positions to sids. Compiled reads
+  // are valid until the registry generation moves, which forces a rebuild
+  // before the next sample.
   std::vector<MetricRegistry::CompiledRead> plan_reads_;
   std::vector<uint32_t> plan_sids_;
   uint64_t plan_generation_ = 0;  // registry generation the plan matches;
@@ -525,48 +537,24 @@ class Profiler;
 
 // metrics.tfcb — compact binary series spill (all fields little-endian):
 //
-//   header   "TFCB" magic, u32 version (=1), u32 series_count,
-//            u64 record_count                              (20 bytes)
+//   header   "TFCB" magic, u32 version (=2), u32 series_count,
+//            u64 tick_count, u64 run_count                 (28 bytes)
 //   names    series_count entries of {u32 len, bytes};
 //            a name's position in the table is its series_id
-//   records  record_count entries of {u32 series_id, u64 t_ns, f64 v},
-//            grouped by series in name-table order, oldest first
+//   ticks    tick_count entries of {i64 t_ns}, one per recorder tick
+//   runs     run_count entries of {u32 series_id, u32 first_tick,
+//            u32 ticks, f64 v}: `ticks` consecutive samples of value v at
+//            tick times [first_tick, first_tick + ticks); grouped by
+//            series in name-table order, oldest first
 //
-// The converter re-emits the legacy metrics.jsonl byte-compatibly (same
-// shortest-round-trip number formatting as the old exporter).
+// The converter expands runs into the legacy metrics.jsonl byte-compatibly
+// (same shortest-round-trip number formatting as the old exporter). It
+// also still reads version 1, whose body after the name table is
+// u64 record_count (in the header, 20 bytes total) records of
+// {u32 series_id, u64 t_ns, f64 v} — one per sample.
 inline constexpr char kTfcbMagic[4] = {'T', 'F', 'C', 'B'};
-inline constexpr uint32_t kTfcbVersion = 1;
-
-// Buffered writer for metrics.tfcb. AppendRecord is the hot call: it only
-// memcpy-packs into the buffer; file I/O happens in batched Flush()es.
-class SpillWriter {
- public:
-  static constexpr size_t kRecordBytes = 4 + 8 + 8;  // series_id, t_ns, v
-  static constexpr size_t kBufferBytes = 256 * 1024;
-
-  SpillWriter() { buf_.reserve(kBufferBytes); }
-  SpillWriter(const SpillWriter&) = delete;
-  SpillWriter& operator=(const SpillWriter&) = delete;
-  ~SpillWriter() { Close(); }
-
-  // Opens `path` and writes the header. Returns false on I/O failure.
-  bool Open(const std::string& path, uint32_t series_count,
-            uint64_t record_count);
-  // Appends one name-table entry; call series_count times after Open.
-  void AppendName(const std::string& name);
-  // Hot path: packs one fixed-width record into the batch buffer.
-  void AppendRecord(uint32_t series_id, TimeNs t_ns, double v);
-  // Flushes the buffer and closes the file. Returns false if any write
-  // failed (sticky across the writer's lifetime).
-  bool Close();
-
- private:
-  void Flush();
-
-  std::FILE* file_ = nullptr;
-  std::vector<unsigned char> buf_;
-  bool ok_ = true;
-};
+inline constexpr uint32_t kTfcbVersion = 2;
+inline constexpr size_t kTfcbRunBytes = 4 + 4 + 4 + 8;
 
 // Offline converter: decodes `tfcb_path` and writes the legacy JSONL
 // (`{"t_ns": ..., "name": ..., "v": ...}` per line) to `jsonl_path`,

@@ -15,8 +15,10 @@ class TimeSeriesRecorder {
     total_ += now;
   }
 
-  void AppendTo(long v) {
+  void FoldTile(long v) {
     buf_[0] = v;  // clean: indexed store into a pre-sized buffer
+    auto it = cells_.find(v);  // VIOLATION recorder-hot (lookup per folded sample)
+    (void)it;
   }
 
   void Arm() {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/audit.h"
@@ -393,6 +395,202 @@ TEST(TimeSeriesRecorderTest, CachedPlanMatchesFreshPlanUnderRegistryChurn) {
   }
 }
 
+// --- Run-length storage -----------------------------------------------------
+
+using SeriesRun = TimeSeriesRecorder::Run;
+
+std::vector<SeriesRun> RunsOf(const TimeSeriesRecorder& r, const std::string& name) {
+  std::vector<SeriesRun> out;
+  r.ForEachSeriesRuns([&](const std::string& n, const std::vector<SeriesRun>& runs) {
+    if (n == name) {
+      out = runs;
+    }
+  });
+  return out;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Expects `a` and `b` to hold the same series, samples compared bitwise,
+// and the same runs.
+void ExpectSameRecording(const TimeSeriesRecorder& a, const TimeSeriesRecorder& b) {
+  ASSERT_EQ(a.SeriesNames(), b.SeriesNames());
+  a.ForEachSeries([&b](const std::string& name,
+                       const std::vector<TimeSeriesRecorder::Sample>& sa) {
+    const std::vector<TimeSeriesRecorder::Sample> sb = b.Series(name);
+    ASSERT_EQ(sa.size(), sb.size()) << name;
+    for (size_t i = 0; i < sa.size(); ++i) {
+      EXPECT_EQ(sa[i].t, sb[i].t) << name << "[" << i << "]";
+      EXPECT_EQ(Bits(sa[i].v), Bits(sb[i].v)) << name << "[" << i << "]";
+    }
+  });
+  for (const std::string& name : a.SeriesNames()) {
+    const std::vector<SeriesRun> ra = RunsOf(a, name);
+    const std::vector<SeriesRun> rb = RunsOf(b, name);
+    ASSERT_EQ(ra.size(), rb.size()) << name;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].first_tick, rb[i].first_tick) << name << " run " << i;
+      EXPECT_EQ(ra[i].ticks, rb[i].ticks) << name << " run " << i;
+      EXPECT_EQ(Bits(ra[i].v), Bits(rb[i].v)) << name << " run " << i;
+    }
+  }
+}
+
+// A recorder folding tiles on its normal cadence next to the reference
+// that re-plans (and therefore folds) on every tick, both watching "g"
+// every 10us from t=0.
+struct RecorderPair {
+  Scheduler sched;
+  MetricRegistry registry;
+  TimeSeriesRecorder tiled{&sched, &registry};
+  TimeSeriesRecorder reference{&sched, &registry};
+
+  RecorderPair() {
+    reference.set_replan_every_tick_for_test(true);
+    for (TimeSeriesRecorder* r : {&tiled, &reference}) {
+      r->Watch("g");
+      r->Start(Microseconds(10));
+    }
+  }
+  // Runs through tick k (at k * 10us).
+  void RunThroughTick(int k) { sched.RunUntil(Microseconds(10) * k); }
+};
+
+TEST(TimeSeriesRecorderRunsTest, ConstantValueIsOneRunAcrossTileBoundaries) {
+  RecorderPair p;
+  Gauge* g = p.registry.AddGauge("g");
+  g->Set(7.0);
+  const int ticks = 3 * static_cast<int>(TimeSeriesRecorder::kTileTicks) + 5;
+  p.RunThroughTick(ticks - 1);
+
+  const std::vector<SeriesRun> runs = RunsOf(p.tiled, "g");
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].first_tick, 0u);
+  EXPECT_EQ(runs[0].ticks, static_cast<uint32_t>(ticks));
+  EXPECT_EQ(p.tiled.total_samples(), static_cast<size_t>(ticks));
+  EXPECT_EQ(p.tiled.total_runs(), 1u);
+
+  // Hand-expanded: one sample per tick, every one 7.0.
+  const std::vector<TimeSeriesRecorder::Sample> s = p.tiled.Series("g");
+  ASSERT_EQ(s.size(), static_cast<size_t>(ticks));
+  for (int k = 0; k < ticks; ++k) {
+    EXPECT_EQ(s[static_cast<size_t>(k)].t, Microseconds(10) * k);
+    EXPECT_EQ(s[static_cast<size_t>(k)].v, 7.0);
+  }
+  ExpectSameRecording(p.tiled, p.reference);
+}
+
+TEST(TimeSeriesRecorderRunsTest, ChangeAtTileBoundaryAndReadMidTile) {
+  RecorderPair p;
+  Gauge* g = p.registry.AddGauge("g");
+  const int tile = static_cast<int>(TimeSeriesRecorder::kTileTicks);
+  g->Set(1.0);
+  p.RunThroughTick(tile - 1);  // exactly one full tile of 1.0
+  g->Set(2.0);
+  p.RunThroughTick(tile + 9);
+  // A read in the middle of a tile folds the partial tile; the run it
+  // leaves open keeps growing afterwards.
+  EXPECT_EQ(p.tiled.total_runs(), 2u);
+  p.RunThroughTick(2 * tile + 3);
+
+  const std::vector<SeriesRun> runs = RunsOf(p.tiled, "g");
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].first_tick, 0u);
+  EXPECT_EQ(runs[0].ticks, static_cast<uint32_t>(tile));
+  EXPECT_EQ(runs[1].first_tick, static_cast<uint32_t>(tile));
+  EXPECT_EQ(runs[1].ticks, static_cast<uint32_t>(tile + 4));
+  EXPECT_EQ(runs[1].v, 2.0);
+  ExpectSameRecording(p.tiled, p.reference);
+}
+
+TEST(TimeSeriesRecorderRunsTest, SeriesThatLeavesThePlanRestartsWithAGap) {
+  RecorderPair p;
+  auto owner = std::make_unique<ScopedMetrics>(&p.registry);
+  owner->AddGauge("g")->Set(5.0);
+  p.RunThroughTick(2);  // ticks 0,1,2
+  owner.reset();        // "g" unregisters: ticks 3,4 sample nothing
+  p.RunThroughTick(4);
+  owner = std::make_unique<ScopedMetrics>(&p.registry);
+  owner->AddGauge("g")->Set(5.0);  // same name, same value, new id
+  p.RunThroughTick(6);  // ticks 5,6
+
+  // The equal value must not bridge the gap: two runs, and no samples
+  // at the ticks the series was absent.
+  const std::vector<SeriesRun> runs = RunsOf(p.tiled, "g");
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].first_tick, 0u);
+  EXPECT_EQ(runs[0].ticks, 3u);
+  EXPECT_EQ(runs[1].first_tick, 5u);
+  EXPECT_EQ(runs[1].ticks, 2u);
+  const std::vector<TimeSeriesRecorder::Sample> s = p.tiled.Series("g");
+  ASSERT_EQ(s.size(), 5u);
+  const std::vector<TimeNs> want = {Microseconds(0), Microseconds(10), Microseconds(20),
+                                    Microseconds(50), Microseconds(60)};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(s[i].t, want[i]) << i;
+    EXPECT_EQ(s[i].v, 5.0) << i;
+  }
+  EXPECT_EQ(p.tiled.tick_times().size(), 7u);
+  ExpectSameRecording(p.tiled, p.reference);
+}
+
+TEST(TimeSeriesRecorderRunsTest, ValuesCompareBitwise) {
+  RecorderPair p;
+  Gauge* g = p.registry.AddGauge("g");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {0.0, -0.0, -0.0, nan, nan, 0.0};
+  for (size_t k = 0; k < values.size(); ++k) {
+    g->Set(values[k]);
+    p.RunThroughTick(static_cast<int>(k));
+  }
+  // 0.0 == -0.0 and NaN != NaN as doubles; as bits it is the other way
+  // round, and bits are what the spill must reproduce.
+  const std::vector<SeriesRun> runs = RunsOf(p.tiled, "g");
+  ASSERT_EQ(runs.size(), 4u);
+  EXPECT_EQ(Bits(runs[0].v), Bits(0.0));
+  EXPECT_EQ(runs[0].ticks, 1u);
+  EXPECT_EQ(Bits(runs[1].v), Bits(-0.0));
+  EXPECT_EQ(runs[1].ticks, 2u);
+  EXPECT_EQ(Bits(runs[2].v), Bits(nan));
+  EXPECT_EQ(runs[2].ticks, 2u);
+  EXPECT_EQ(Bits(runs[3].v), Bits(0.0));
+  EXPECT_EQ(runs[3].ticks, 1u);
+  const std::vector<TimeSeriesRecorder::Sample> s = p.tiled.Series("g");
+  ASSERT_EQ(s.size(), values.size());
+  for (size_t k = 0; k < values.size(); ++k) {
+    EXPECT_EQ(Bits(s[k].v), Bits(values[k])) << k;
+  }
+  ExpectSameRecording(p.tiled, p.reference);
+}
+
+TEST(TimeSeriesRecorderRunsTest, StopAndStartContinueTheTickSequence) {
+  RecorderPair p;
+  Gauge* g = p.registry.AddGauge("g");
+  g->Set(3.0);
+  p.RunThroughTick(2);  // ticks at 0,10,20
+  p.tiled.Stop();
+  p.reference.Stop();
+  p.sched.RunUntil(Microseconds(100));
+  for (TimeSeriesRecorder* r : {&p.tiled, &p.reference}) {
+    r->Start(Microseconds(10));  // ticks at 100,110
+  }
+  p.sched.RunUntil(Microseconds(110));
+
+  // Recorder ticks stay consecutive across the pause, so the unchanged
+  // value is one run; its samples keep their real timestamps.
+  const std::vector<SeriesRun> runs = RunsOf(p.tiled, "g");
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].ticks, 5u);
+  const std::vector<TimeSeriesRecorder::Sample> s = p.tiled.Series("g");
+  const std::vector<TimeNs> want = {Microseconds(0), Microseconds(10), Microseconds(20),
+                                    Microseconds(100), Microseconds(110)};
+  ASSERT_EQ(s.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(s[i].t, want[i]) << i;
+  }
+  ExpectSameRecording(p.tiled, p.reference);
+}
+
 // --- Exporter ---------------------------------------------------------------
 
 std::string Slurp(const std::string& path) {
@@ -458,11 +656,12 @@ TEST(ExporterTest, RunDirectoryGoldenRoundTrip) {
             "{\"t_ns\": 0, \"name\": \"queue\", \"v\": 0}\n"
             "{\"t_ns\": 10000, \"name\": \"queue\", \"v\": 1500}\n");
 
-  // The spill itself: magic + version=1, one series, two records.
+  // The spill itself: magic + version=2, one series, two tick times, and
+  // two runs (the value changed between the ticks).
   const std::string tfcb = Slurp(dir + "/metrics.tfcb");
-  ASSERT_GE(tfcb.size(), 20u);
+  ASSERT_GE(tfcb.size(), 28u);
   EXPECT_EQ(tfcb.substr(0, 4), "TFCB");
-  EXPECT_EQ(tfcb.size(), 20u + (4 + 5) + 2 * SpillWriter::kRecordBytes);
+  EXPECT_EQ(tfcb.size(), 28u + (4 + 5) + 2 * 8 + 2 * kTfcbRunBytes);
 
   // The manifest carries the verbatim run section (with escaping) plus the
   // exporter's own provenance keys.
@@ -495,7 +694,7 @@ TEST(ExporterTest, NullRecorderWritesHeaderOnlySpillThatConvertsToEmptyJsonl) {
   ASSERT_TRUE(WriteRunDirectory(dir, manifest, registry, nullptr, nullptr,
                                 &error))
       << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.tfcb").size(), 20u);  // header, no payload
+  EXPECT_EQ(Slurp(dir + "/metrics.tfcb").size(), 28u);  // header, no payload
   ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb",
                                         dir + "/metrics.jsonl", &error))
       << error;
@@ -531,6 +730,105 @@ TEST(ExporterTest, ConverterRejectsMissingAndCorruptSpills) {
   EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/short.tfcb",
                                          dir + "/out.jsonl", &error));
   EXPECT_NE(error.find("record section"), std::string::npos);
+}
+
+// Little-endian byte packing for hand-built spills.
+void PutLe(std::string& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out += static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// A version 2 spill of one series "q" over two ticks (t=0, t=10000),
+// followed by `runs`, each {series_id, first_tick, ticks, v}.
+std::string TfcbV2(const std::vector<std::tuple<uint32_t, uint32_t, uint32_t, double>>& runs) {
+  std::string d = "TFCB";
+  PutLe(d, 2, 4);            // version
+  PutLe(d, 1, 4);            // series_count
+  PutLe(d, 2, 8);            // tick_count
+  PutLe(d, runs.size(), 8);  // run_count
+  PutLe(d, 1, 4);
+  d += "q";
+  PutLe(d, 0, 8);
+  PutLe(d, 10000, 8);
+  for (const auto& [sid, first, ticks, v] : runs) {
+    PutLe(d, sid, 4);
+    PutLe(d, first, 4);
+    PutLe(d, ticks, 4);
+    PutLe(d, std::bit_cast<uint64_t>(v), 8);
+  }
+  return d;
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ExporterTest, ConverterStillDecodesVersion1Spills) {
+  // Run directories written before run-length storage hold v1 spills: one
+  // {u32 series_id, u64 t_ns, f64 v} record per sample.
+  const std::string dir = testing::TempDir() + "/telemetry_v1";
+  std::filesystem::create_directories(dir);
+  std::string d = "TFCB";
+  PutLe(d, 1, 4);  // version
+  PutLe(d, 2, 4);  // series_count
+  PutLe(d, 3, 8);  // record_count
+  PutLe(d, 1, 4);
+  d += "a";
+  PutLe(d, 1, 4);
+  d += "b";
+  const std::vector<std::tuple<uint32_t, int64_t, double>> records = {
+      {0, 0, 1.0}, {0, 10000, 1.0}, {1, 0, 2.5}};
+  for (const auto& [sid, t, v] : records) {
+    PutLe(d, sid, 4);
+    PutLe(d, static_cast<uint64_t>(t), 8);
+    PutLe(d, std::bit_cast<uint64_t>(v), 8);
+  }
+  WriteBytes(dir + "/metrics.tfcb", d);
+  std::string error;
+  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb", dir + "/metrics.jsonl", &error))
+      << error;
+  EXPECT_EQ(Slurp(dir + "/metrics.jsonl"),
+            "{\"t_ns\": 0, \"name\": \"a\", \"v\": 1}\n"
+            "{\"t_ns\": 10000, \"name\": \"a\", \"v\": 1}\n"
+            "{\"t_ns\": 0, \"name\": \"b\", \"v\": 2.5}\n");
+}
+
+TEST(ExporterTest, ConverterExpandsVersion2RunsAndRejectsCorruptOnes) {
+  const std::string dir = testing::TempDir() + "/telemetry_v2";
+  std::filesystem::create_directories(dir);
+  const std::string in = dir + "/metrics.tfcb";
+  const std::string out = dir + "/metrics.jsonl";
+  std::string error;
+
+  WriteBytes(in, TfcbV2({{0, 0, 2, 4.5}}));
+  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(in, out, &error)) << error;
+  EXPECT_EQ(Slurp(out),
+            "{\"t_ns\": 0, \"name\": \"q\", \"v\": 4.5}\n"
+            "{\"t_ns\": 10000, \"name\": \"q\", \"v\": 4.5}\n");
+
+  const struct {
+    std::vector<std::tuple<uint32_t, uint32_t, uint32_t, double>> runs;
+    const char* want;
+  } bad[] = {
+      {{{0, 1, 2, 1.0}}, "past tick_count"},
+      {{{1, 0, 1, 1.0}}, "out-of-range series"},
+      {{{0, 0, 0, 1.0}}, "zero ticks"},
+      {{{0, 1, 1, 1.0}, {0, 0, 1, 1.0}}, "out of order"},
+  };
+  for (const auto& c : bad) {
+    WriteBytes(in, TfcbV2(c.runs));
+    EXPECT_FALSE(ConvertMetricsTfcbToJsonl(in, out, &error)) << c.want;
+    EXPECT_NE(error.find(c.want), std::string::npos) << error;
+  }
+
+  // A body shorter than the header's tick and run counts promise.
+  std::string truncated = TfcbV2({{0, 0, 2, 1.0}});
+  truncated.pop_back();
+  WriteBytes(in, truncated);
+  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(in, out, &error));
+  EXPECT_NE(error.find("header promises"), std::string::npos) << error;
 }
 
 TEST(ExporterTest, WriteFailureReportsError) {

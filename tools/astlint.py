@@ -45,9 +45,9 @@ Rules (AST-precise; catalogue also via --list-rules):
                       file-scoped suppressions with justifications.
   recorder-hot        AST-precise version of the lint.py rule: the
                       recording hot paths — resolved from their actual
-                      FunctionDecls (TimeSeriesRecorder::Tick/AppendTo,
-                      SpillWriter::AppendRecord, FlightRecorder::Record/
-                      Append, Network::EmitTrace/EmitTraceArmed), not brace
+                      FunctionDecls (TimeSeriesRecorder::Tick/FoldTile,
+                      FlightRecorder::Record/Append,
+                      Network::EmitTrace/EmitTraceArmed), not brace
                       matching — must stay free of lookups, allocation,
                       container growth, and I/O.
 
@@ -150,8 +150,7 @@ HOT_IO_STREAM_TYPES = {"basic_ofstream", "basic_fstream", "basic_stringstream",
 # from FunctionDecl bodies instead of brace matching).
 RECORDER_HOT_SCOPES = {
     "TimeSeriesRecorder::Tick": "lookup",
-    "TimeSeriesRecorder::AppendTo": "lookup",
-    "SpillWriter::AppendRecord": "lookup",
+    "TimeSeriesRecorder::FoldTile": "lookup",
     "FlightRecorder::Record": "append",
     "FlightRecorder::Append": "append",
     "Network::EmitTrace": "append",

@@ -52,10 +52,10 @@ Rules enforced (see docs/correctness.md):
   recorder-hot    the per-event recording hot paths must stay allocation-,
                   lookup-, and I/O-free. Three brace-matched scopes are
                   scanned: the telemetry sampler (TimeSeriesRecorder::Tick
-                  and SpillWriter::AppendRecord in
-                  src/sim/telemetry.cc — no std::map / unordered_map, no
+                  and its per-sample tile fold TimeSeriesRecorder::FoldTile
+                  in src/sim/telemetry.cc — no std::map / unordered_map, no
                   string-keyed lookups, no stream I/O; cold helpers like
-                  RebuildPlan and Flush do that work), the flight-recorder
+                  RebuildPlan and the exporter do that work), the flight-recorder
                   ring append (FlightRecorder::Record in src/sim/flight.h —
                   a masked store, so additionally no allocation or container
                   growth), and the trace emission path (Network::EmitTrace /
@@ -201,10 +201,10 @@ RECORDER_HOT_SCOPES = [
     (
         "src/sim/telemetry.cc",
         re.compile(
-            r"\b(?:TimeSeriesRecorder::Tick|SpillWriter::AppendRecord)\s*\("
+            r"\b(?:TimeSeriesRecorder::Tick|TimeSeriesRecorder::FoldTile)\s*\("
         ),
         RECORDER_HOT_LOOKUP_BAN_RE,
-        "resolve in RebuildPlan / at Open time instead",
+        "resolve in RebuildPlan instead",
     ),
     (
         "src/sim/flight.h",

@@ -9,16 +9,24 @@ Checks the files the exporter (src/sim/telemetry.cc) writes per run:
 
   manifest.json   object with schema_version == 2, git_describe,
                   created_unix / created_utc, and a "run" object.
-  metrics.tfcb    binary series spill: "TFCB" magic, u32 version (=1),
-                  u32 series_count, u64 record_count, interned name table
-                  ({u32 len, bytes} per series), then fixed-width
-                  {u32 series_id, u64 t_ns, f64 v} records (all little-
-                  endian). t_ns must be non-decreasing per series and ids
-                  must stay in range.
+  metrics.tfcb    binary series spill (all little-endian), version 2:
+                  "TFCB" magic, u32 version, u32 series_count,
+                  u64 tick_count, u64 run_count, interned name table
+                  ({u32 len, bytes} per series), tick_count i64 tick times,
+                  then 20-byte runs {u32 series_id, u32 first_tick,
+                  u32 ticks, f64 v}. Tick times must be non-decreasing;
+                  every run must cover ticks >= 1 with first_tick + ticks
+                  <= tick_count and name an in-range series; runs are
+                  grouped by series in name-table order, and a series'
+                  runs are ordered and do not overlap. Version 1 (what
+                  older run directories hold) has a u64 record_count in
+                  place of the two counts and one fixed-width
+                  {u32 series_id, u64 t_ns, f64 v} record per sample, t_ns
+                  non-decreasing per series.
   metrics.jsonl   optional converter output (`tfcsim --convert=RUN_DIR`):
                   one sample object {"t_ns", "name", "v"} per line; when
                   present its line count is cross-checked against the
-                  spill's record count.
+                  spill's sample count (v1 records, v2 summed run ticks).
   summary.json    schema_version == 2 plus counters / gauges / histograms /
                   profile sections with the shapes documented in
                   docs/observability.md.
@@ -65,9 +73,12 @@ from pathlib import Path
 
 SCHEMA_VERSION = 2
 TFCB_MAGIC = b"TFCB"
-TFCB_VERSION = 1
-TFCB_HEADER = struct.Struct("<4sIIQ")   # magic, version, series, records
-TFCB_RECORD = struct.Struct("<IQd")     # series_id, t_ns, v
+TFCB_PREFIX = struct.Struct("<4sII")     # magic, version, series_count
+TFCB_V1_COUNTS = struct.Struct("<Q")     # record_count
+TFCB_V1_RECORD = struct.Struct("<IQd")   # series_id, t_ns, v
+TFCB_V2_COUNTS = struct.Struct("<QQ")    # tick_count, run_count
+TFCB_V2_TICK = struct.Struct("<q")       # t_ns
+TFCB_V2_RUN = struct.Struct("<IIId")     # series_id, first_tick, ticks, v
 
 TFCT_MAGIC = b"TFCT"
 TFCT_VERSION = 1
@@ -129,19 +140,23 @@ def check_manifest(path: Path, ck: Checker) -> None:
 
 
 def check_metrics_tfcb(path: Path, ck: Checker) -> int:
-    """Validates the binary spill; returns its record count (or 0 on error)."""
+    """Validates the binary spill; returns its sample count (or 0 on error)."""
     where = str(path)
     data = path.read_bytes()
-    if len(data) < TFCB_HEADER.size:
+    if len(data) < TFCB_PREFIX.size:
         ck.error(where, f"truncated header ({len(data)} bytes)")
         return 0
-    magic, version, series_count, record_count = TFCB_HEADER.unpack_from(data)
+    magic, version, series_count = TFCB_PREFIX.unpack_from(data)
     if not ck.expect(magic == TFCB_MAGIC, where, f"bad magic {magic!r}"):
         return 0
-    if not ck.expect(version == TFCB_VERSION, where,
-                     f"version must be {TFCB_VERSION}, got {version}"):
+    if not ck.expect(version in (1, 2), where, f"version must be 1 or 2, got {version}"):
         return 0
-    off = TFCB_HEADER.size
+    counts = TFCB_V1_COUNTS if version == 1 else TFCB_V2_COUNTS
+    if len(data) < TFCB_PREFIX.size + counts.size:
+        ck.error(where, f"truncated header ({len(data)} bytes)")
+        return 0
+    header_counts = counts.unpack_from(data, TFCB_PREFIX.size)
+    off = TFCB_PREFIX.size + counts.size
     names = []
     for i in range(series_count):
         if off + 4 > len(data):
@@ -160,16 +175,20 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
         ck.expect(bool(name), where, f"name {i} must be non-empty")
         names.append(name)
         off += length
-    body = len(data) - off
-    if not ck.expect(body == record_count * TFCB_RECORD.size, where,
-                     f"record section is {body} bytes, header promises "
-                     f"{record_count * TFCB_RECORD.size}"):
+    body = data[off:]
+    if version == 1:
+        return check_tfcb_v1_body(body, names, *header_counts, where, ck)
+    return check_tfcb_v2_body(body, names, *header_counts, where, ck)
+
+
+def check_tfcb_v1_body(body, names, record_count, where, ck) -> int:
+    if not ck.expect(len(body) == record_count * TFCB_V1_RECORD.size, where,
+                     f"record section is {len(body)} bytes, header promises "
+                     f"{record_count * TFCB_V1_RECORD.size}"):
         return 0
     last_t = {}  # series_id -> last t_ns
-    for i in range(record_count):
-        series_id, t_ns, _v = TFCB_RECORD.unpack_from(data, off)
-        off += TFCB_RECORD.size
-        if not ck.expect(series_id < series_count, where,
+    for i, (series_id, t_ns, _v) in enumerate(TFCB_V1_RECORD.iter_unpack(body)):
+        if not ck.expect(series_id < len(names), where,
                          f"record {i} names out-of-range series {series_id}"):
             return 0
         prev = last_t.get(series_id)
@@ -178,6 +197,38 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
                   f"{prev} -> {t_ns}")
         last_t[series_id] = t_ns
     return record_count
+
+
+def check_tfcb_v2_body(body, names, tick_count, run_count, where, ck) -> int:
+    ticks_size = tick_count * TFCB_V2_TICK.size
+    if not ck.expect(len(body) == ticks_size + run_count * TFCB_V2_RUN.size, where,
+                     f"body is {len(body)} bytes, header promises {tick_count} "
+                     f"ticks and {run_count} runs"):
+        return 0
+    prev_t = None
+    for i, (t_ns,) in enumerate(TFCB_V2_TICK.iter_unpack(body[:ticks_size])):
+        if not ck.expect(prev_t is None or t_ns >= prev_t, where,
+                         f"tick {i} time went backwards: {prev_t} -> {t_ns}"):
+            return 0
+        prev_t = t_ns
+    samples = 0
+    prev_sid, prev_end = -1, 0  # previous run's series and one-past-last tick
+    for i, (sid, first, ticks, _v) in enumerate(
+            TFCB_V2_RUN.iter_unpack(body[ticks_size:])):
+        loc = f"run {i}"
+        if not (ck.expect(sid < len(names), where,
+                          f"{loc} names out-of-range series {sid}")
+                and ck.expect(ticks >= 1, where, f"{loc} covers zero ticks")
+                and ck.expect(first + ticks <= tick_count, where,
+                              f"{loc} ends at tick {first + ticks}, past "
+                              f"tick_count {tick_count}")
+                and ck.expect(sid > prev_sid or (sid == prev_sid and first >= prev_end),
+                              where, f"{loc} ({names[sid]!r}) is out of order or "
+                              "overlaps the run before it")):
+            return 0
+        prev_sid, prev_end = sid, first + ticks
+        samples += ticks
+    return samples
 
 
 def check_metrics_jsonl(path: Path, ck: Checker) -> int:
@@ -408,7 +459,7 @@ def check_run_dir(run_dir: Path, ck: Checker) -> int:
         if tfcb.exists():
             ck.expect(jsonl_samples == samples, str(jsonl),
                       f"{jsonl_samples} converted samples but the spill "
-                      f"records {samples}")
+                      f"holds {samples}")
         else:
             samples = jsonl_samples
     check_summary(run_dir / "summary.json", ck)
