@@ -2,7 +2,7 @@
 # Local CI entry point — the same matrix .github/workflows/ci.yml runs.
 #
 #   ./ci.sh            full matrix: release, asan-ubsan, hardened, tsan, lint,
-#                      astlint, tidy, units, telemetry, trace, chaos, sweep
+#                      astlint, tidy, telemetry, trace, chaos, sweep
 #   ./ci.sh release    one leg by name
 #
 # Every leg must pass for the gate to be green. The sanitizer and hardened
@@ -22,17 +22,9 @@ run_preset() {
 leg_release()    { run_preset release; }
 leg_asan_ubsan() { run_preset asan-ubsan; }
 leg_hardened()   { run_preset hardened; }
-# When the astlint engine is available, the AST-precise rules own
-# bare-assert (src/), hot-io, and recorder-hot; lint.py stands those down
-# (--ast-owned) so a site is never double-reported. Without libclang, lint.py
-# runs all of its regex rules as the fallback.
 leg_lint() {
   echo "=== [lint] tools/lint.py ==="
-  if python3 tools/astlint.py --probe >/dev/null 2>&1; then
-    python3 tools/lint.py --ast-owned
-  else
-    python3 tools/lint.py
-  fi
+  python3 tools/lint.py
 }
 
 # AST determinism analyzer (tools/astlint.py): suppression-policy selftest
@@ -48,7 +40,7 @@ leg_astlint() {
       echo "astlint: engine required (TFC_ASTLINT_REQUIRE=1) but unavailable" >&2
       exit 1
     fi
-    echo "astlint: libclang unavailable — skipping AST battery (lint.py regex rules remain in force)" >&2
+    echo "astlint: libclang unavailable — skipping the det-* AST battery" >&2
     return 0
   fi
   for fixture in tests/astlint/fixtures/*.cc; do
@@ -69,33 +61,6 @@ leg_tsan() {
   run_preset tsan
 }
 leg_tidy()       { echo "=== [tidy] tools/tidy.sh ==="; bash tools/tidy.sh build; }
-
-# Units leg: the dimension-safety gate (docs/correctness.md "Units").
-# (1) Negative-compile battery — each banned cross-dimension conversion must
-#     be rejected, and the control case must compile (same cases ctest runs
-#     as WILL_FAIL entries, checked here without needing a configured build).
-# (2) The lint.py units rule (raw unit-suffixed declarations).
-# (3) clang-tidy narrowing profile over src/{net,tfc,transport} — skips with
-#     a notice when clang-tidy is absent, like leg_tidy.
-leg_units() {
-  echo "=== [units] negative-compile battery ==="
-  local src=tests/units_compile_fail/compile_fail.cc
-  local cxx="${CXX:-g++}"
-  "${cxx}" -std=c++20 -I. -fsyntax-only "${src}"
-  echo "units: control case compiles"
-  local case
-  for case in BYTES_PLUS_TIME TOKENS_TO_BYTES BYTES_NARROWING; do
-    if "${cxx}" -std=c++20 -I. -fsyntax-only "-DCASE_${case}=1" "${src}" 2>/dev/null; then
-      echo "units: CASE_${case} compiled but must be rejected" >&2
-      return 1
-    fi
-    echo "units: CASE_${case} rejected (expected)"
-  done
-  echo "=== [units] lint units rule ==="
-  python3 tools/lint.py
-  echo "=== [units] clang-tidy narrowing profile ==="
-  bash tools/tidy_units.sh build
-}
 
 # Telemetry-enabled incast smoke on the paper's Fig. 4 testbed topology:
 # runs tfcsim with --telemetry-dir and validates the emitted run directory
@@ -262,7 +227,6 @@ case "${1:-all}" in
   lint)       leg_lint ;;
   astlint)    leg_astlint ;;
   tidy)       leg_tidy ;;
-  units)      leg_units ;;
   telemetry)  leg_telemetry ;;
   trace)      leg_trace ;;
   chaos)      leg_chaos ;;
@@ -275,7 +239,6 @@ case "${1:-all}" in
     leg_lint
     leg_astlint
     leg_tidy
-    leg_units
     leg_telemetry
     leg_trace
     leg_chaos
@@ -283,7 +246,7 @@ case "${1:-all}" in
     echo "=== ci.sh: all legs green ==="
     ;;
   *)
-    echo "usage: $0 [release|asan-ubsan|hardened|tsan|lint|astlint|tidy|units|telemetry|trace|chaos|sweep|all]" >&2
+    echo "usage: $0 [release|asan-ubsan|hardened|tsan|lint|astlint|tidy|telemetry|trace|chaos|sweep|all]" >&2
     exit 2
     ;;
 esac

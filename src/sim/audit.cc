@@ -6,7 +6,7 @@
 namespace tfc {
 
 std::string AuditReport::ToString() const {
-  std::ostringstream oss;
+  std::ostringstream oss;  // lint:allow hot-io (failure report, built on a failed check)
   oss << "audit: " << checks << " checks over " << components << " components, "
       << failures.size() << " failure(s)";
   for (const AuditFailure& f : failures) {
@@ -30,7 +30,7 @@ void Auditor::CheckNear(double a, double b, double tol, std::string_view invaria
   const bool ok = std::abs(a - b) <= tol;
   std::string detail;
   if (!ok) {
-    std::ostringstream oss;
+    std::ostringstream oss;  // lint:allow hot-io (failure detail only)
     oss << "lhs = " << a << ", rhs = " << b << ", |diff| = " << std::abs(a - b)
         << " > tol " << tol;
     detail = oss.str();

@@ -101,7 +101,7 @@ class Auditor {
 
 template <typename A, typename B>
 std::string Auditor::Format(const A& a, const B& b, const char* op) {
-  std::ostringstream oss;
+  std::ostringstream oss;  // lint:allow hot-io (called only when a check fails)
   oss << "lhs = " << a << ", rhs = " << b << " (want " << op << ")";
   return oss.str();
 }

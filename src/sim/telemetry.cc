@@ -183,14 +183,6 @@ const Histogram* MetricRegistry::FindHistogram(const std::string& name) const {
   return it->second.hist;
 }
 
-const Histogram* MetricRegistry::FindHistogram(MetricId id) const {
-  if (id >= by_id_.size() || by_id_[id] == nullptr ||
-      by_id_[id]->kind != MetricKind::kHistogram) {
-    return nullptr;
-  }
-  return by_id_[id]->hist;
-}
-
 void MetricRegistry::AuditInvariants(Auditor& audit) {
   for (auto& [name, entry] : entries_) {
     if (entry.kind != MetricKind::kCounter) {

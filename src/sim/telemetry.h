@@ -167,9 +167,9 @@ enum class MetricKind : uint8_t {
 const char* MetricKindName(MetricKind kind);
 
 // Dense interned handle for a registered metric: an index into the
-// registry's flat id table, assigned at registration. Id-indexed reads are
-// the sampling hot path — one bounds check, one vector index, one kind
-// switch; no string, no map. An id freed by Unregister may be reused by a
+// registry's flat id table, assigned at registration. The sampling hot path
+// reads through ids compiled by CompileReadId — one indirect call per
+// sample; no string, no map. An id freed by Unregister may be reused by a
 // later registration, and every register/unregister bumps the registry
 // generation, so consumers caching ids (the recorder's sample plan)
 // re-resolve exactly when the mapping can have changed.
@@ -210,33 +210,9 @@ class MetricRegistry {
   // absent names return false). Non-const: callback gauges may be stateful.
   bool Read(const std::string& name, double* out);
 
-  // Id-indexed Read: the sampling hot path. Freed slots, out-of-range ids,
-  // and histograms return false. Ids stay valid while generation() is
-  // unchanged.
-  bool ReadId(MetricId id, double* out) {
-    if (id >= by_id_.size() || by_id_[id] == nullptr) {
-      return false;
-    }
-    Entry& e = *by_id_[id];
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        *out = static_cast<double>(e.counter.value());
-        return true;
-      case MetricKind::kGauge:
-        *out = e.gauge.value();
-        return true;
-      case MetricKind::kCallbackGauge:
-        *out = e.fn();
-        return true;
-      case MetricKind::kHistogram:
-        return false;
-    }
-    return false;
-  }
-
   // A read compiled all the way down: one indirect call through `fn(obj)`
   // with the kind dispatch resolved at compile-the-plan time instead of per
-  // sample. Valid under the same contract as ids — until generation()
+  // sample. Like the id it was compiled from, valid until generation()
   // changes.
   struct CompiledRead {
     double (*fn)(void*);
@@ -299,7 +275,6 @@ class MetricRegistry {
   }
 
   const Histogram* FindHistogram(const std::string& name) const;
-  const Histogram* FindHistogram(MetricId id) const;
 
   // Runtime-auditor hook: every counter must be monotone between audit
   // passes (a shrinking counter means double-release or reset-in-flight).

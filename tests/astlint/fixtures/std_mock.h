@@ -9,17 +9,9 @@
 #ifndef TESTS_ASTLINT_FIXTURES_STD_MOCK_H_
 #define TESTS_ASTLINT_FIXTURES_STD_MOCK_H_
 
-#define assert(expr) ((void)0)
-
-// Global-namespace C entry points (the analyzer accepts both ::rand and
+// Global-namespace C entry point (the analyzer accepts both ::rand and
 // std::rand spellings).
-long time(long*);
 int rand();
-struct timeval {
-  long tv_sec;
-  long tv_usec;
-};
-int gettimeofday(timeval*, void*);
 
 namespace std {
 
@@ -55,30 +47,17 @@ class unordered_map {
  public:
   using value_type = pair<const K, V>;
   using iterator = mock_iterator<value_type>;
-  using const_iterator = mock_iterator<value_type>;
   iterator begin() { return {}; }
   iterator end() { return {}; }
-  const_iterator begin() const { return {}; }
-  const_iterator end() const { return {}; }
-  iterator find(const K&) { return {}; }
-  const_iterator find(const K&) const { return {}; }
   size_t count(const K&) const { return 0; }
-  V& operator[](const K&);
 };
 
 template <class K, class H = hash<K>, class E = equal_to<K>,
           class A = allocator<K>>
 class unordered_set {
  public:
-  using value_type = K;
   using iterator = mock_iterator<K>;
-  using const_iterator = mock_iterator<K>;
   iterator begin() { return {}; }
-  iterator end() { return {}; }
-  const_iterator begin() const { return {}; }
-  const_iterator end() const { return {}; }
-  iterator find(const K&) { return {}; }
-  size_t count(const K&) const { return 0; }
 };
 
 template <class K, class V, class C = less<K>,
@@ -87,67 +66,25 @@ class map {
  public:
   using value_type = pair<const K, V>;
   using iterator = mock_iterator<value_type>;
-  using const_iterator = mock_iterator<value_type>;
   iterator begin() { return {}; }
   iterator end() { return {}; }
-  const_iterator begin() const { return {}; }
-  const_iterator end() const { return {}; }
-  iterator find(const K&) { return {}; }
-  const_iterator find(const K&) const { return {}; }
   size_t count(const K&) const { return 0; }
-  V& operator[](const K&);
 };
 
 template <class K, class C = less<K>, class A = allocator<K>>
-class set {
- public:
-  using value_type = K;
-  using iterator = mock_iterator<K>;
-  iterator begin() { return {}; }
-  iterator end() { return {}; }
-  size_t count(const K&) const { return 0; }
-};
+class set {};
 
 template <class T, class C = less<T>>
-class priority_queue {
- public:
-  void push(const T&);
-  const T& top() const;
-  void pop();
-};
-
-template <class T, class A = allocator<T>>
-class vector {
- public:
-  using iterator = mock_iterator<T>;
-  iterator begin() { return {}; }
-  iterator end() { return {}; }
-  void push_back(const T&);
-  void reserve(size_t);
-  void resize(size_t);
-  T& operator[](size_t);
-  size_t size() const { return 0; }
-};
+class priority_queue {};
 
 namespace chrono {
 
 struct mock_duration {
   long ticks = 0;
   long count() const { return ticks; }
-  mock_duration operator-(const mock_duration& o) const {
-    return {ticks - o.ticks};
-  }
 };
 
 struct steady_clock {
-  using time_point = mock_duration;
-  static time_point now();
-};
-struct system_clock {
-  using time_point = mock_duration;
-  static time_point now();
-};
-struct high_resolution_clock {
   using time_point = mock_duration;
   static time_point now();
 };
@@ -161,31 +98,10 @@ class random_device {
 
 class mt19937 {
  public:
-  explicit mt19937(unsigned seed);
   unsigned operator()();
 };
 
 time_t time(time_t*);
-int rand();
-void srand(unsigned);
-
-struct ostream {
-  ostream& put(char c);
-  ostream& write(const char* s, size_t n);
-};
-extern ostream cout;
-extern ostream cerr;
-
-template <class C>
-class basic_ofstream {
- public:
-  void open(const char* path);
-  void close();
-};
-using ofstream = basic_ofstream<char>;
-
-int printf(const char*, ...);
-int fprintf(void*, const char*, ...);
 
 }  // namespace std
 

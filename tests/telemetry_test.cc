@@ -135,24 +135,22 @@ TEST(MetricRegistryTest, IdIndexedReadsAndGenerationTracking) {
   EXPECT_EQ(registry.KindOfId(c_id), MetricKind::kCounter);
 
   c->Add(42);
-  double v = 0;
-  ASSERT_TRUE(registry.ReadId(c_id, &v));
-  EXPECT_DOUBLE_EQ(v, 42.0);
-  EXPECT_FALSE(registry.ReadId(h_id, &v));  // histograms are not scalars
-  EXPECT_EQ(registry.FindHistogram(h_id), registry.FindHistogram("h"));
-  EXPECT_EQ(registry.FindHistogram(c_id), nullptr);
+  MetricRegistry::CompiledRead read{};
+  ASSERT_TRUE(registry.CompileReadId(c_id, &read));
+  EXPECT_DOUBLE_EQ(read.fn(read.obj), 42.0);
+  EXPECT_FALSE(registry.CompileReadId(h_id, &read));  // histograms are not scalars
 
-  // Unregister frees the slot (reads fail) and bumps the generation; a
+  // Unregister frees the slot (compiles fail) and bumps the generation; a
   // later registration may reuse the id, which is why consumers re-resolve
   // on generation change.
   const uint64_t gen1 = registry.generation();
   registry.Unregister("c");
   EXPECT_GT(registry.generation(), gen1);
-  EXPECT_FALSE(registry.ReadId(c_id, &v));
+  EXPECT_FALSE(registry.CompileReadId(c_id, &read));
   registry.AddGauge("g2")->Set(5.0);
   EXPECT_EQ(registry.IdOf("g2"), c_id);  // freed id reused
-  ASSERT_TRUE(registry.ReadId(c_id, &v));
-  EXPECT_DOUBLE_EQ(v, 5.0);
+  ASSERT_TRUE(registry.CompileReadId(c_id, &read));
+  EXPECT_DOUBLE_EQ(read.fn(read.obj), 5.0);
 }
 
 TEST(MetricRegistryTest, CounterMonotonicityAudit) {

@@ -15,12 +15,15 @@ Rules enforced (see docs/correctness.md):
                   context and abort under all build types; bare assert()
                   vanishes in NDEBUG builds. static_assert is fine.
   hot-io          src/sim, src/net, and src/tfc are simulation hot paths:
-                  no stream/printf I/O there (std::cout, printf, ofstream,
-                  ...). Observability goes through the metric registry /
-                  tracer / exporter (src/sim/telemetry.h) so the per-event
-                  cost is a pointer bump, not formatting. The tracer and
-                  exporter implementations themselves are allowlisted.
-                  Suppress a sanctioned site with `// lint:allow hot-io`.
+                  no stream/printf I/O there — the std stream objects
+                  ((w)cout/cerr/clog), the printf/puts/fwrite family, and
+                  file/string stream types ((o)fstream, (o)stringstream and
+                  their basic_ forms), qualified or not. Observability goes
+                  through the metric registry / tracer / exporter
+                  (src/sim/telemetry.h) so the per-event cost is a pointer
+                  bump, not formatting. The tracer and exporter
+                  implementations themselves are allowlisted. Suppress a
+                  sanctioned site with `// lint:allow hot-io`.
   packet-drop     packet loss must stay auditable: the only sanctioned
                   emission sites for kDrop / kFaultDrop trace events in src/
                   are the port TX path (src/net/port.cc) and the fault
@@ -50,29 +53,24 @@ Rules enforced (see docs/correctness.md):
                   (src/net/packet.h header fields) are allowlisted; named
                   raw-view escapes carry `// lint:allow units`.
   recorder-hot    the per-event recording hot paths must stay allocation-,
-                  lookup-, and I/O-free. Three brace-matched scopes are
-                  scanned: the telemetry sampler (TimeSeriesRecorder::Tick
-                  and its per-sample tile fold TimeSeriesRecorder::FoldTile
-                  in src/sim/telemetry.cc — no std::map / unordered_map, no
-                  string-keyed lookups, no stream I/O; cold helpers like
-                  RebuildPlan and the exporter do that work), the flight-recorder
-                  ring append (FlightRecorder::Record in src/sim/flight.h —
-                  a masked store, so additionally no allocation or container
-                  growth), and the trace emission path (Network::EmitTrace /
-                  ::EmitTraceArmed in src/net/network.h — a gate branch plus
-                  an inline record fill). Suppress with
-                  `// lint:allow recorder-hot`.
+                  lookup-, and I/O-free. Each function named in
+                  RECORDER_HOT_SCOPES is scanned brace to brace: the
+                  telemetry sampler (TimeSeriesRecorder::Tick and its
+                  per-sample tile fold TimeSeriesRecorder::FoldTile in
+                  src/sim/telemetry.cc — no std::map / unordered_map, no
+                  keyed lookups, no stream I/O; cold helpers like
+                  RebuildPlan and the exporter do that work), the
+                  flight-recorder ring append (FlightRecorder::Record /
+                  Append in src/sim/flight.h — a masked store, so
+                  additionally no allocation or container growth), and the
+                  trace emission path (Network::EmitTrace / EmitTraceArmed
+                  in src/net/network.h — a gate branch plus an inline record
+                  fill). A named function that matches no body in its file
+                  is itself an error: a moved or renamed hot path must not
+                  go unchecked. Suppress with `// lint:allow recorder-hot`.
 
-Rule ownership vs tools/astlint.py (see docs/correctness.md): astlint
-carries AST-precise versions of bare-assert, hot-io, and recorder-hot
-(macro instantiations from the preprocessing record, canonical types,
-scopes resolved from real FunctionDecls) plus the det-* determinism rules,
-but it needs libclang. This file stays the no-dependency fallback that runs
-everywhere. Under `--ast-owned` (passed by ci.sh when the astlint engine is
-available) the superseded regex rules stand down where astlint covers them:
-hot-io and recorder-hot entirely (their scopes are all under src/), and
-bare-assert for src/ files only — astlint's default scan parses src/ TUs,
-so tests/bench/examples keep the regex check either way.
+tools/astlint.py owns only the libclang det-* determinism rules; every rule
+above has this file as its single implementation (docs/correctness.md).
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -80,10 +78,6 @@ Exit status: 0 when clean, 1 when any violation is found.
 import re
 import sys
 from pathlib import Path
-
-# Set by --ast-owned: stand down rules that tools/astlint.py enforces
-# AST-precisely in this environment (see docstring).
-AST_OWNED = False
 
 REPO = Path(__file__).resolve().parent.parent
 SCAN_DIRS = ("src", "tests", "bench", "examples")
@@ -126,7 +120,7 @@ HOT_IO_ALLOWED_FILES = {
 # packet-drop: the sanctioned drop-trace funnels. Everything else in src/
 # needs an explicit suppression tied to a counter.
 PACKET_DROP_RE = re.compile(
-    r"EmitTrace\s*\(\s*(?:Trace|Flight)EventType::k(?:Fault)?Drop\b"
+    r"EmitTrace\s*\(\s*FlightEventType::k(?:Fault)?Drop\b"
 )
 PACKET_DROP_ALLOWED_FILES = {
     "src/net/port.cc",
@@ -152,9 +146,16 @@ RAW_THREAD_ALLOWED_FILES = {
 MUTEX_DECL_RE = re.compile(r"\b(?:tfc::)?Mutex\s+(\w+)\s*;")
 GUARDED_BY_RE = re.compile(r"\bTFC_(?:PT_)?GUARDED_BY\s*\(\s*([A-Za-z0-9_:.\->]+)\s*\)")
 
+# hot-io: stream objects and stream types match with or without std::
+# (an unqualified spelling only after a non-identifier, non-scope, non-'<'
+# character, so `#include <fstream>` and `Foo::cout` stay clean); the
+# printf/puts/fwrite family matches std::-qualified, or unqualified when
+# called.
 HOT_IO_RE = re.compile(
-    r"\bstd::(cout|cerr|clog|ofstream|fstream|printf|fprintf)\b"
-    r"|(?<![A-Za-z0-9_:])(printf|fprintf|fputs|fwrite|puts)\s*\("
+    r"(?:(?<![\w:])std::|(?<![\w:<]))"
+    r"(?:w?c(?:out|err|log)|(?:basic_)?o?(?:stringstream|fstream))\b"
+    r"|(?<![\w:])std::(?:v?f?printf|fputs|fwrite|puts|putchar)\b"
+    r"|(?<![\w:.>])(?:v?f?printf|fputs|fwrite|puts|putchar)\s*\("
 )
 
 # units: in the migrated layers, a raw arithmetic declaration whose name
@@ -182,39 +183,49 @@ UNITS_RE = re.compile(
     r"\b" + UNITS_RAW_TYPE + r"\s+(?:const\s+)?(\w*_(?:bytes|tokens|ns|bps))_?\s*(?=[;=,(){])"
 )
 
-# recorder-hot: per-event recording hot functions, matched by symbol name
-# and scanned brace-to-brace. Each scope is (file, function regex, ban
-# regex, hint). The telemetry sampler bans lookups; the flight-recorder
-# append and trace gate additionally ban allocation and container growth —
-# those bodies are a branch plus a masked store.
-RECORDER_HOT_LOOKUP_BAN_RE = re.compile(
-    r"\bstd::(?:map|unordered_map)\b"
+# recorder-hot: per-event recording hot functions, matched by definition
+# and scanned brace-to-brace. Each scope is (file, {function: definition
+# regex}, ban regex, hint); every function must resolve to a body. The
+# telemetry sampler bans lookups; the flight-recorder append and trace gate
+# additionally ban allocation and container growth — those bodies are a
+# branch plus a masked store.
+RECORDER_HOT_LOOKUP_BAN = (
+    r"\bstd::(?:unordered_)?(?:multi)?map\b"
     r"|\.(?:find|at)\s*\("
     r"|\.count\s*\(\s*[^)\s]"  # .count(key) lookups; .count() accessors are fine
     r"|\bseries_\s*\["
 )
+RECORDER_HOT_LOOKUP_BAN_RE = re.compile(RECORDER_HOT_LOOKUP_BAN)
 RECORDER_HOT_APPEND_BAN_RE = re.compile(
-    r"\bnew\b|\bmalloc\s*\(|\bstd::(?:map|unordered_map|string|vector)\b"
-    r"|\.(?:find|at|resize|reserve|push_back|emplace_back|assign|insert)\s*\("
+    RECORDER_HOT_LOOKUP_BAN
+    + r"|\bnew\b|\bmalloc\s*\(|\bstd::(?:string|vector|deque|list)\b"
+    r"|\.(?:resize|reserve|push_back|emplace_back|emplace|assign|insert)\s*\("
 )
 RECORDER_HOT_SCOPES = [
     (
         "src/sim/telemetry.cc",
-        re.compile(
-            r"\b(?:TimeSeriesRecorder::Tick|TimeSeriesRecorder::FoldTile)\s*\("
-        ),
+        {
+            "TimeSeriesRecorder::Tick": r"TimeSeriesRecorder::Tick",
+            "TimeSeriesRecorder::FoldTile": r"TimeSeriesRecorder::FoldTile",
+        },
         RECORDER_HOT_LOOKUP_BAN_RE,
         "resolve in RebuildPlan instead",
     ),
     (
         "src/sim/flight.h",
-        re.compile(r"\b(?:void\s+Record|FlightEvent\*\s+Append)\s*\("),
+        {
+            "FlightRecorder::Record": r"void\s+Record",
+            "FlightRecorder::Append": r"FlightEvent\*\s+Append",
+        },
         RECORDER_HOT_APPEND_BAN_RE,
         "the ring append is a masked store; do setup work in Arm()",
     ),
     (
         "src/net/network.h",
-        re.compile(r"\bvoid\s+EmitTrace(?:Armed)?\s*\("),
+        {
+            "Network::EmitTrace": r"void\s+EmitTrace",
+            "Network::EmitTraceArmed": r"void\s+EmitTraceArmed",
+        },
         RECORDER_HOT_APPEND_BAN_RE,
         "the emission gate is one branch and the armed fill is direct "
         "stores; batch-format offline instead",
@@ -222,10 +233,11 @@ RECORDER_HOT_SCOPES = [
 ]
 
 
-def recorder_hot_body_lines(text: str, func_re: re.Pattern) -> list[tuple[int, str]]:
-    """(lineno, line) pairs inside the matched hot-function bodies."""
+def recorder_hot_body_lines(text: str, definition: str) -> list[tuple[int, str]]:
+    """(lineno, line) pairs inside the bodies of functions defined by
+    `definition` (a regex for the text before the parameter list)."""
     out = []
-    for m in func_re.finditer(text):
+    for m in re.finditer(r"\b" + definition + r"\s*\(", text):
         open_brace = text.find("{", m.end())
         if open_brace < 0:
             continue
@@ -254,36 +266,42 @@ def allow(line: str, tag: str) -> bool:
     return f"lint:allow {tag}" in line
 
 
-def lint_recorder_hot(
-    text: str, rel: str, func_re: re.Pattern, ban_re: re.Pattern, hint: str
-) -> list[str]:
+def lint_recorder_hot(text: str, rel: str) -> list[str]:
     errors = []
-    for lineno, raw in recorder_hot_body_lines(text, func_re):
-        code = LINE_COMMENT_RE.sub("", raw)
-        if allow(raw, "recorder-hot"):
+    for scope_file, functions, ban_re, hint in RECORDER_HOT_SCOPES:
+        if rel != scope_file:
             continue
-        if ban_re.search(code):
-            errors.append(
-                f"{rel}:{lineno}: [recorder-hot] banned construct in a "
-                f"recording hot path — {hint}"
-            )
-        if HOT_IO_RE.search(code):
-            errors.append(
-                f"{rel}:{lineno}: [recorder-hot] no stream/printf I/O in a "
-                f"recording hot path — {hint}"
-            )
+        for name, definition in functions.items():
+            body = recorder_hot_body_lines(text, definition)
+            if not body:
+                errors.append(
+                    f"{rel}: [recorder-hot] hot path {name} matches no "
+                    "function body in this file — it moved or was renamed; "
+                    "update RECORDER_HOT_SCOPES in tools/lint.py"
+                )
+            for lineno, raw in body:
+                code = LINE_COMMENT_RE.sub("", raw)
+                if allow(raw, "recorder-hot"):
+                    continue
+                if ban_re.search(code):
+                    errors.append(
+                        f"{rel}:{lineno}: [recorder-hot] banned construct in "
+                        f"a recording hot path — {hint}"
+                    )
+                if HOT_IO_RE.search(code):
+                    errors.append(
+                        f"{rel}:{lineno}: [recorder-hot] no stream/printf I/O "
+                        f"in a recording hot path — {hint}"
+                    )
     return errors
 
 
-def lint_file(path: Path, rel: str) -> list[str]:
-    errors = []
+def lint_text(text: str, rel: str) -> list[str]:
+    """All violations in one file's text; `rel` is its repo-relative path,
+    which decides the layer-scoped rules and allowlists."""
+    errors = lint_recorder_hot(text, rel)
     mutex_decls: list[tuple[int, str]] = []  # (lineno, mutex name)
     guarded_names: set[str] = set()
-    text = path.read_text()
-    if not AST_OWNED:  # astlint resolves these scopes from real FunctionDecls
-        for scope_file, func_re, ban_re, hint in RECORDER_HOT_SCOPES:
-            if rel == scope_file:
-                errors.extend(lint_recorder_hot(text, rel, func_re, ban_re, hint))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = INCLUDE_RE.match(raw)
         if m and not m.group(1).startswith(ROOT_PREFIXES):
@@ -309,18 +327,13 @@ def lint_file(path: Path, rel: str) -> list[str]:
                 f"{rel}:{lineno}: [std-function] hot-path layers use "
                 "InplaceFunction (src/sim/inplace_function.h), not std::function"
             )
-        if (
-            BARE_ASSERT_RE.search(code)
-            and not (AST_OWNED and rel.startswith("src/"))
-            and not allow(raw, "bare-assert")
-        ):
+        if BARE_ASSERT_RE.search(code) and not allow(raw, "bare-assert"):
             errors.append(
                 f"{rel}:{lineno}: [bare-assert] use TFC_CHECK / TFC_DCHECK "
                 "(src/sim/check.h) instead of assert()"
             )
         if (
-            not AST_OWNED
-            and HOT_IO_RE.search(code)
+            HOT_IO_RE.search(code)
             and rel.startswith(HOT_IO_LAYERS)
             and rel not in HOT_IO_ALLOWED_FILES
             and not allow(raw, "hot-io")
@@ -384,13 +397,8 @@ def lint_file(path: Path, rel: str) -> list[str]:
 
 
 def main() -> int:
-    global AST_OWNED
-    args = sys.argv[1:]
-    if "--ast-owned" in args:
-        AST_OWNED = True
-        args.remove("--ast-owned")
-    if args:
-        print(f"lint.py: unknown argument(s): {' '.join(args)}", file=sys.stderr)
+    if sys.argv[1:]:
+        print(f"lint.py: unknown argument(s): {' '.join(sys.argv[1:])}", file=sys.stderr)
         return 2
     errors = []
     files = 0
@@ -401,7 +409,13 @@ def main() -> int:
                 if rel.startswith(SKIP_PREFIXES):
                     continue
                 files += 1
-                errors.extend(lint_file(path, rel))
+                errors.extend(lint_text(path.read_text(), rel))
+    for scope_file, *_ in RECORDER_HOT_SCOPES:
+        if not (REPO / scope_file).is_file():
+            errors.append(
+                f"{scope_file}: [recorder-hot] hot-path file is missing — "
+                "update RECORDER_HOT_SCOPES in tools/lint.py"
+            )
     for e in errors:
         print(e)
     print(f"lint.py: {files} files, {len(errors)} violation(s)", file=sys.stderr)
