@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/sim/stats.h"
+#include "src/sim/telemetry.h"
 #include "src/workload/protocol.h"
 
 namespace tfc {
@@ -45,6 +46,16 @@ inline const std::vector<Protocol>& AllProtocols() {
   static const std::vector<Protocol> kAll = {Protocol::kTfc, Protocol::kDctcp,
                                              Protocol::kTcp};
   return kAll;
+}
+
+// Folds one recorded series (e.g. a port's "<prefix>.queue_bytes") into
+// summary statistics, oldest sample first.
+inline RunningStats SeriesStats(const TimeSeriesRecorder& recorder, const std::string& name) {
+  RunningStats stats;
+  for (const TimeSeriesRecorder::Sample& s : recorder.Series(name)) {
+    stats.Add(s.v);
+  }
+  return stats;
 }
 
 // Prints a mean + tail-percentile row for a sample population (the paper's

@@ -1,10 +1,10 @@
 // Fig. 6 — Accuracy of measuring rtt_b.
 //
 // Setup (paper Sec. 6.1.2): H1 and H2 each send two long-lived TFC flows to
-// H3; the switch port toward H3 measures rtt_b (min delimiter round over 1 s
-// windows). A reference flow reports its raw per-round RTT samples. End
-// hosts add a random processing delay, so the reference RTT is jittery while
-// rtt_b captures the floor.
+// H3; the switch port toward H3 measures rtt_b (the running minimum of the
+// delimiter flow's slot RTTs). A reference flow reports its raw per-round
+// RTT samples. End hosts add a random processing delay, so the reference RTT
+// is jittery while rtt_b captures the floor.
 //
 // Paper result: measured rtt_b ~59 us vs referenced RTT ~65 us — rtt_b sits
 // a roughly constant few microseconds below the reference because it
@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "src/sim/timer.h"
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
 #include "src/workload/persistent_flow.h"
-#include "src/workload/samplers.h"
 
 int main(int argc, char** argv) {
   using namespace tfc;

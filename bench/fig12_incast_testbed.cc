@@ -8,9 +8,11 @@
 // senders; DCTCP collapses beyond ~50 senders (queue near the buffer
 // limit); TCP collapses beyond ~10.
 
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "src/sim/telemetry.h"
 #include "src/topo/topologies.h"
 #include "src/workload/incast.h"
 
@@ -41,15 +43,18 @@ Row RunOnce(tfc::Protocol protocol, int senders, bool quick) {
   IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
 
   Port* bottleneck = Network::FindPort(topo.sw, topo.hosts[0]);
-  RunningStats queue;
-  PeriodicTimer sampler(&net.scheduler(), [&] {
-    queue.Add(static_cast<double>(bottleneck->queue_bytes()));
-  });
-  sampler.Start(Microseconds(100));
+  const std::string queue_name = bottleneck->metric_prefix() + ".queue_bytes";
+  TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
+  recorder.Watch(queue_name);
+  recorder.Start(Microseconds(100), Microseconds(100));
+  // The queue average covers the incast only, not the idle tail up to the
+  // RunUntil horizon.
+  app.on_finished = [&recorder] { recorder.Stop(); };
   app.Start();
   net.scheduler().RunUntil(Seconds(120));
 
-  return Row{app.goodput_bps() / 1e6, queue.mean() / 1024.0,
+  return Row{app.goodput_bps() / 1e6,
+             bench::SeriesStats(recorder, queue_name).mean() / 1024.0,
              static_cast<double>(bottleneck->max_queue_bytes()) / 1024.0,
              app.total_timeouts(), bottleneck->drops()};
 }

@@ -511,12 +511,13 @@ void FaultInjector::OnWire(Port* port, PacketPtr pkt) {
 
 LivenessWatchdog::LivenessWatchdog(Scheduler* scheduler, TimeNs check_period,
                                    TimeNs stall_after)
-    : scheduler_(scheduler), period_(check_period), stall_after_(stall_after) {
+    : scheduler_(scheduler),
+      period_(check_period),
+      stall_after_(stall_after),
+      timer_(scheduler, [this] { Tick(); }) {
   TFC_CHECK_GT(period_, 0);
   TFC_CHECK_GT(stall_after_, 0);
 }
-
-LivenessWatchdog::~LivenessWatchdog() { Stop(); }
 
 void LivenessWatchdog::Watch(std::string name, ProgressFn progress, DoneFn done) {
   Entry e;
@@ -543,25 +544,15 @@ void LivenessWatchdog::WatchMetric(MetricRegistry* registry, const std::string& 
 }
 
 void LivenessWatchdog::Start() {
-  if (running_) {
+  if (timer_.running()) {
     return;
   }
-  running_ = true;
   const TimeNs now = scheduler_->now();
   for (Entry& e : entries_) {
     e.last_value = e.progress();
     e.last_change = now;
   }
-  tick_event_ = scheduler_->ScheduleDaemonAfter(period_, [this] { Tick(); });
-}
-
-void LivenessWatchdog::Stop() {
-  if (!running_) {
-    return;
-  }
-  running_ = false;
-  scheduler_->CancelDaemon(tick_event_);
-  tick_event_ = Scheduler::EventId();
+  timer_.Start(period_);
 }
 
 void LivenessWatchdog::Tick() {
@@ -587,7 +578,6 @@ void LivenessWatchdog::Tick() {
                                           << (now - e.last_change) << " ns)");
     }
   }
-  tick_event_ = scheduler_->ScheduleDaemonAfter(period_, [this] { Tick(); });
 }
 
 std::vector<std::string> LivenessWatchdog::Stalled() {

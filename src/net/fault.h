@@ -40,6 +40,7 @@
 #include "src/sim/scheduler.h"
 #include "src/sim/telemetry.h"
 #include "src/sim/time.h"
+#include "src/sim/timer.h"
 
 namespace tfc {
 
@@ -239,7 +240,6 @@ class LivenessWatchdog {
   using DoneFn = InplaceFunction<bool(), kDefaultInplaceCapacity>;
 
   LivenessWatchdog(Scheduler* scheduler, TimeNs check_period, TimeNs stall_after);
-  ~LivenessWatchdog();
   LivenessWatchdog(const LivenessWatchdog&) = delete;
   LivenessWatchdog& operator=(const LivenessWatchdog&) = delete;
 
@@ -249,8 +249,8 @@ class LivenessWatchdog {
   void WatchMetric(MetricRegistry* registry, const std::string& metric_name, DoneFn done);
 
   void Start();
-  void Stop();
-  bool running() const { return running_; }
+  void Stop() { timer_.Stop(); }
+  bool running() const { return timer_.running(); }
 
   // When set, a freshly flagged stall aborts the process through the
   // TFC_CHECK funnel — which drains any armed flight recorders to their
@@ -285,9 +285,8 @@ class LivenessWatchdog {
   std::vector<Entry> entries_;
   std::vector<std::string> flagged_;
   uint64_t ticks_ = 0;
-  bool running_ = false;
   bool abort_on_stall_ = false;
-  Scheduler::EventId tick_event_;
+  PeriodicTimer timer_;  // last: destroyed (and cancelled) first
 };
 
 }  // namespace tfc

@@ -47,7 +47,7 @@ Network::Network(uint64_t seed) : rng_(seed) {
 }
 
 Network::~Network() {
-  if (audit_enabled_) {
+  if (audit_enabled()) {
     const AuditReport report = RunAudit();
     ++audit_passes_;
     TFC_CHECK_MSG(report.ok(), "teardown " << report.ToString());
@@ -56,20 +56,19 @@ Network::~Network() {
 
 void Network::EnableAudit(TimeNs period) {
   TFC_CHECK_GT(period, 0);
-  audit_period_ = period;
-  if (audit_enabled_) {
+  if (audit_timer_.running()) {
+    audit_timer_.set_interval(period);
     return;
   }
-  audit_enabled_ = true;
-  scheduler_.ScheduleDaemonAfter(audit_period_, [this] { AuditTick(); });
+  audit_site_ = profiler_.Site("net.audit_tick");
+  audit_timer_.Start(period);
 }
 
 void Network::AuditTick() {
-  ProfileScope prof(&profiler_, profiler_.Site("net.audit_tick"));
+  ProfileScope prof(&profiler_, audit_site_);
   const AuditReport report = RunAudit();
   ++audit_passes_;
   TFC_CHECK_MSG(report.ok(), report.ToString());
-  scheduler_.ScheduleDaemonAfter(audit_period_, [this] { AuditTick(); });
 }
 
 void Network::EmitFlight(FlightEvent event) {

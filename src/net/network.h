@@ -34,6 +34,7 @@
 #include "src/sim/random.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/telemetry.h"
+#include "src/sim/timer.h"
 
 namespace tfc {
 
@@ -133,9 +134,10 @@ class Network : public FlightNames {
   // Turns on periodic auditing: every `period` of simulated time (and once
   // at teardown) all registered invariants run, aborting with a full report
   // on any violation. Called automatically from the constructor when
-  // AuditEnabledByDefault() (TFC_AUDIT preset/env). Idempotent.
+  // AuditEnabledByDefault() (TFC_AUDIT preset/env). Calling it again only
+  // changes the period, from the re-arm after the pending tick on.
   void EnableAudit(TimeNs period = Milliseconds(5));
-  bool audit_enabled() const { return audit_enabled_; }
+  bool audit_enabled() const { return audit_timer_.running(); }
   uint64_t audit_passes() const { return audit_passes_; }
 
   // Runs one audit pass now and returns the report (does not abort; tests
@@ -187,9 +189,10 @@ class Network : public FlightNames {
   int next_flow_id_ = 1;
   uint64_t next_packet_uid_ = 1;
   Tracer* tracer_ = nullptr;
-  bool audit_enabled_ = false;
-  TimeNs audit_period_ = 0;
   uint64_t audit_passes_ = 0;
+  ProfileSite* audit_site_ = nullptr;  // resolved once, in EnableAudit
+  // After the scheduler: destroyed (and cancelled) before it.
+  PeriodicTimer audit_timer_{&scheduler_, [this] { AuditTick(); }};
 };
 
 }  // namespace tfc

@@ -58,12 +58,13 @@ class Scheduler {
 
   // Schedules a *daemon* event: it fires like any other event inside
   // Run()/RunUntil(), but does not keep Run() alive — drain-mode Run()
-  // returns as soon as only daemon events remain pending. This is what
-  // lets a self-rescheduling background service (the periodic invariant
-  // auditor, the telemetry recorder) coexist with tests that run the
-  // simulation to completion. A pending daemon event must be cancelled with
-  // CancelDaemon, never Cancel — plain Cancel cannot see the daemon
-  // accounting and would leave pending() permanently short by one.
+  // returns as soon as only daemon events remain pending. PeriodicTimer
+  // (src/sim/timer.h) ticks on these, which is what lets the periodic
+  // invariant auditor, the telemetry recorder and the liveness watchdog
+  // coexist with tests that run the simulation to completion. A pending
+  // daemon event must be cancelled with CancelDaemon, never Cancel — plain
+  // Cancel cannot see the daemon accounting and would leave pending()
+  // permanently short by one.
   template <typename F>
   EventId ScheduleDaemonAfter(TimeNs delay, F&& cb) {
     ++daemon_pending_;
@@ -91,7 +92,7 @@ class Scheduler {
   }
 
   // Number of pending (non-cancelled) user events. Daemon events are
-  // infrastructure (the invariant auditor's tick) and are excluded, so
+  // infrastructure (PeriodicTimer ticks) and are excluded, so
   // "no leaked timers" assertions keep working with the auditor enabled.
   size_t pending() const { return heap_.size() - daemon_pending_; }
 

@@ -263,19 +263,7 @@ void TimeSeriesRecorder::WatchPrefix(std::string prefix) {
 void TimeSeriesRecorder::Start(TimeNs period, TimeNs first_delay) {
   TFC_CHECK_GT(period, 0);
   TFC_CHECK_GE(first_delay, 0);
-  Stop();
-  period_ = period;
-  running_ = true;
-  tick_event_ = scheduler_->ScheduleDaemonAfter(first_delay, [this] { Tick(); });
-}
-
-void TimeSeriesRecorder::Stop() {
-  if (!running_) {
-    return;
-  }
-  running_ = false;
-  scheduler_->CancelDaemon(tick_event_);
-  tick_event_ = Scheduler::EventId{};
+  timer_.Start(period, first_delay);
 }
 
 // Cold path, runs only when the registry generation moved (or on the first
@@ -342,9 +330,6 @@ void TimeSeriesRecorder::AddPlanEntry(const std::string& name, MetricId id) {
 }
 
 void TimeSeriesRecorder::Tick() {
-  if (!running_) {
-    return;
-  }
   ++ticks_;
   if (replan_every_tick_ || plan_generation_ != registry_->generation()) {
     RebuildPlan();
@@ -365,7 +350,6 @@ void TimeSeriesRecorder::Tick() {
   if (++tile_ticks_ == kTileTicks) {
     FoldTile();
   }
-  tick_event_ = scheduler_->ScheduleDaemonAfter(period_, [this] { Tick(); });
 }
 
 void TimeSeriesRecorder::FoldTile() const {

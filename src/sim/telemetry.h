@@ -22,10 +22,12 @@
 //                    watch names and prefixes resolve to (MetricId, series
 //                    id) pairs once, re-resolved only when the registry
 //                    generation changes, so a tick touches no strings and
-//                    no maps. Ticks are *daemon* events
-//                    (Scheduler::ScheduleDaemonAfter), so an attached
-//                    recorder never keeps Run() alive and never perturbs
-//                    "no leaked timers" pending() assertions.
+//                    no maps. A daemon PeriodicTimer (src/sim/timer.h)
+//                    drives the ticks, so an attached recorder never keeps
+//                    Run() alive and never perturbs "no leaked timers"
+//                    pending() assertions. Bench drivers and tests sample
+//                    queues and goodput through it too; there is no second
+//                    sampling path.
 //
 //   Run exporter     writes a per-run directory: manifest.json (what ran),
 //                    metrics.tfcb (the recorded series as value runs,
@@ -57,6 +59,7 @@
 #include "src/sim/inplace_function.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
+#include "src/sim/timer.h"
 
 namespace tfc {
 
@@ -362,10 +365,10 @@ class ScopedMetrics {
 };
 
 // Samples watched counters/gauges on a fixed cadence into per-series runs.
-// Ticks are daemon events: they fire inside Run()/RunUntil() like any
-// event but do not keep drain-mode Run() alive and are excluded from
-// pending(). A watched metric that disappears (its component unregistered)
-// simply stops extending its series.
+// Ticks come from a PeriodicTimer, whose daemon events fire inside
+// Run()/RunUntil() like any event but do not keep drain-mode Run() alive
+// and are excluded from pending(). A watched metric that disappears (its
+// component unregistered) simply stops extending its series.
 //
 // Ticks run off a compiled sample plan: watches and prefixes resolve once
 // to (MetricId, series id) pairs, re-resolved only when the registry
@@ -396,10 +399,9 @@ class TimeSeriesRecorder {
   static constexpr size_t kTileTicks = 64;
 
   TimeSeriesRecorder(Scheduler* scheduler, MetricRegistry* registry)
-      : scheduler_(scheduler), registry_(registry) {}
+      : scheduler_(scheduler), registry_(registry), timer_(scheduler, [this] { Tick(); }) {}
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
-  ~TimeSeriesRecorder() { Stop(); }
 
   // Watch one metric by exact name (duplicates are ignored: one watch, one
   // sample per tick), or every current and future metric whose name starts
@@ -416,10 +418,9 @@ class TimeSeriesRecorder {
   // Starts sampling every `period`, first tick after `first_delay`
   // (defaults to 0: an immediate baseline sample). Restart re-paces.
   void Start(TimeNs period, TimeNs first_delay = 0);
-  void Stop();
-  bool running() const { return running_; }
+  void Stop() { timer_.Stop(); }
+  bool running() const { return timer_.running(); }
 
-  TimeNs period() const { return period_; }
   uint64_t ticks() const { return ticks_; }
 
   // How many times the sample plan was compiled — equals the number of
@@ -498,10 +499,8 @@ class TimeSeriesRecorder {
                                   // 0 = never built (registry starts at 1)
   uint64_t plan_rebuilds_ = 0;
   bool replan_every_tick_ = false;
-  TimeNs period_ = 0;
   uint64_t ticks_ = 0;
-  bool running_ = false;
-  Scheduler::EventId tick_event_;
+  PeriodicTimer timer_;  // last: destroyed (and cancelled) first
 };
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-// One-shot restartable timer built on the scheduler.
+// Timers built on the scheduler.
 //
-// Used for retransmission timeouts, delayed actions, and periodic samplers.
-// The timer owns its pending event: destroying or restarting it cancels any
-// outstanding expiry, so callbacks never fire on dead objects as long as the
-// Timer member outlives the scheduler run (the usual composition is a Timer
-// field inside the object whose method it calls).
+// Timer is the one-shot restartable timer: retransmission timeouts and
+// delayed actions. It owns its pending event: destroying or restarting it
+// cancels any outstanding expiry, so callbacks never fire on dead objects as
+// long as the Timer member outlives the scheduler run (the usual composition
+// is a Timer field inside the object whose method it calls).
+//
+// PeriodicTimer is the one periodic primitive: the telemetry recorder, the
+// liveness watchdog, the network's audit tick and bench-side samplers all
+// tick through it. Its ticks are daemon events, so a running PeriodicTimer
+// never keeps drain-mode Run() alive and is excluded from pending().
 
 #ifndef SRC_SIM_TIMER_H_
 #define SRC_SIM_TIMER_H_
@@ -58,47 +63,62 @@ class Timer {
   TimeNs expiry_ = 0;
 };
 
-// Fixed-interval periodic callback (samplers, application ticks).
+// Fixed-interval periodic callback on daemon events. Start() or Stop()
+// called from inside the callback is honoured; the destructor cancels.
 class PeriodicTimer {
  public:
   using Callback = InplaceFunction<void(), kDefaultInplaceCapacity>;
 
   PeriodicTimer(Scheduler* scheduler, Callback cb)
-      : scheduler_(scheduler), cb_(std::move(cb)), timer_(scheduler, [this] { Fire(); }) {}
+      : scheduler_(scheduler), cb_(std::move(cb)) {}
 
-  // Starts ticking every `interval`, first tick at now + interval
-  // (or now + first_delay when given).
+  PeriodicTimer(const PeriodicTimer&) = delete;
+  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
+
+  ~PeriodicTimer() { Stop(); }
+
+  // (Re)starts ticking every `interval`, first tick at now + interval
+  // (or now + first_delay when given). Cancels any pending tick.
   void Start(TimeNs interval) { Start(interval, interval); }
   void Start(TimeNs interval, TimeNs first_delay) {
+    Stop();
     interval_ = interval;
-    stopped_ = false;
-    timer_.RestartAfter(first_delay);
+    running_ = true;
+    Arm(first_delay);
   }
 
   void Stop() {
-    stopped_ = true;
-    timer_.Cancel();
+    running_ = false;
+    scheduler_->CancelDaemon(id_);  // fired/invalid ids are safe no-ops
+    id_ = {};
   }
-  bool running() const { return !stopped_ && timer_.pending(); }
-  Scheduler* scheduler() const { return scheduler_; }
+
+  // Changes the cadence without re-arming: the pending tick keeps its time
+  // and the new interval applies from the re-arm after it.
+  void set_interval(TimeNs interval) { interval_ = interval; }
+
+  bool running() const { return running_; }
 
  private:
+  void Arm(TimeNs delay) {
+    id_ = scheduler_->ScheduleDaemonAfter(delay, [this] { Fire(); });
+  }
+
   void Fire() {
+    id_ = {};
     cb_();
-    // The callback may have called Stop() (the one-shot timer has already
-    // fired, so Stop's Cancel alone cannot prevent the re-arm — the
-    // `stopped_` flag must be consulted here) or Start() with a new cadence
-    // (in which case the timer is pending again and must not be overridden).
-    if (!stopped_ && !timer_.pending()) {
-      timer_.RestartAfter(interval_);
+    // The callback may have called Stop() (running_ is false) or Start()
+    // with a new cadence (a tick is pending again and must not be doubled).
+    if (running_ && !id_.valid()) {
+      Arm(interval_);
     }
   }
 
   Scheduler* scheduler_;
   Callback cb_;
-  Timer timer_;
+  Scheduler::EventId id_;
   TimeNs interval_ = 0;
-  bool stopped_ = true;
+  bool running_ = false;
 };
 
 }  // namespace tfc

@@ -40,7 +40,7 @@ class TfcPortAgent : public PortAgent {
   void OnEgress(Packet& pkt) override;
   bool OnReverse(PacketPtr& pkt) override;
   // Fault hook (src/net/fault.h): device reboot. Every protocol register —
-  // delimiter, rtt_b epochs, token/window, the arbiter counter and its
+  // delimiter, rtt_b, token/window, the arbiter counter and its
   // ledger — reverts to construction values; parked ACKs are switch memory
   // and are handed to the caller for destruction. The agent then
   // re-converges from live traffic exactly like a cold start.
@@ -117,10 +117,7 @@ class TfcPortAgent : public PortAgent {
   bool delimiter_closed_ = false;
   bool want_new_delimiter_ = true;
   TimeNs slot_start_ = 0;
-  TimeNs rttb_;
-  TimeNs rttb_epoch_min_;
-  TimeNs rttb_prev_epoch_min_;
-  uint64_t rttb_epoch_count_ = 0;
+  TimeNs rttb_;  // running minimum of the delimiter flow's slot RTTs
   bool rttb_measured_ = false;
   TimeNs rttm_last_ = 0;
   int E_ = 1;

@@ -99,7 +99,9 @@ TEST(SchedulerDaemonTest, RunDrainsUserEventsDespitePendingDaemon) {
 
 // Regression (found by the auditor work): Fire() re-armed unconditionally
 // after the callback, so a Stop() issued inside the callback was silently
-// undone and the timer ticked forever.
+// undone and the timer ticked forever. Ticks are daemon events, which
+// drain-mode Run() does not wait for, so these drive with RunUntil far past
+// the last expected tick and require an empty heap afterwards.
 TEST(PeriodicTimerTest, StopInsideCallbackActuallyStops) {
   Scheduler sched;
   int fires = 0;
@@ -109,10 +111,10 @@ TEST(PeriodicTimerTest, StopInsideCallbackActuallyStops) {
     }
   });
   timer.Start(10);
-  sched.Run();
+  sched.RunUntil(1000);
   EXPECT_EQ(fires, 3);
   EXPECT_FALSE(timer.running());
-  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.pending_total(), 0u);
 }
 
 TEST(PeriodicTimerTest, RestartInsideCallbackAdoptsNewCadence) {
@@ -128,8 +130,9 @@ TEST(PeriodicTimerTest, RestartInsideCallbackAdoptsNewCadence) {
     }
   });
   timer.Start(10);
-  sched.Run();
+  sched.RunUntil(10'000);
   EXPECT_EQ(ticks, (std::vector<TimeNs>{10, 20, 120, 220}));
+  EXPECT_EQ(sched.pending_total(), 0u);
 }
 
 // --- packet pool poisoning --------------------------------------------------

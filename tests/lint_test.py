@@ -286,6 +286,34 @@ class PacketDropTest(unittest.TestCase):
         self.assertEqual(findings(text, "src/tfc/switch_port.cc", "packet-drop"), [1])
         self.assertEqual(findings(text, "src/net/port.cc", "packet-drop"), [])
 
+    def test_split_call_is_flagged_at_its_first_line(self):
+        text = (
+            "void Drop() {\n"
+            "  net->EmitTrace(  // arbiter expiry\n"
+            "      FlightEventType::kDrop, *pkt, switch_, port_);\n"
+            "}\n"
+        )
+        self.assertEqual(findings(text, "src/tfc/switch_port.cc", "packet-drop"), [2])
+
+    def test_split_call_with_marker_is_clean(self):
+        text = (
+            "  net->EmitTrace(  // lint:allow packet-drop (arbiter_expired_)\n"
+            "      FlightEventType::kDrop, *pkt, switch_, port_);\n"
+        )
+        self.assertEqual(findings(text, "src/tfc/switch_port.cc", "packet-drop"), [])
+
+
+class DaemonTickTest(unittest.TestCase):
+    LOOP = "  tick_ = sched->ScheduleDaemonAfter(period_, [this] { Tick(); });\n"
+
+    def test_hand_rolled_loop_is_flagged(self):
+        self.assertEqual(findings(self.LOOP, "src/sim/telemetry.cc", "daemon-tick"), [1])
+
+    def test_sanctioned_files_and_other_trees_are_clean(self):
+        for rel in sorted(lint.DAEMON_TICK_ALLOWED_FILES) + ["tests/audit_test.cc"]:
+            with self.subTest(rel=rel):
+                self.assertEqual(findings(self.LOOP, rel, "daemon-tick"), [])
+
 
 class CommandLineTest(unittest.TestCase):
     def test_rejects_flags(self):

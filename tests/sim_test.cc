@@ -160,6 +160,37 @@ TEST(PeriodicTimerTest, FirstDelayOverride) {
   EXPECT_EQ(ticks, (std::vector<TimeNs>{0, 10, 20}));
 }
 
+// Ticks are daemon events: a running timer never keeps drain-mode Run()
+// alive and is invisible to pending().
+TEST(PeriodicTimerTest, TicksAreDaemonEvents) {
+  Scheduler sched;
+  int fires = 0;
+  PeriodicTimer timer(&sched, [&] { ++fires; });
+  timer.Start(10);
+  // Asserted before Run(): a non-daemon tick would make Run() spin forever.
+  ASSERT_EQ(sched.daemon_pending(), 1u);
+  EXPECT_EQ(sched.pending(), 0u);
+  sched.Run();
+  EXPECT_EQ(sched.now(), 0);
+  EXPECT_EQ(fires, 0);
+  EXPECT_TRUE(timer.running());
+  EXPECT_EQ(sched.daemon_pending(), 1u);
+  timer.Stop();
+  EXPECT_EQ(sched.daemon_pending(), 0u);
+  EXPECT_EQ(sched.pending_total(), 0u);
+}
+
+TEST(PeriodicTimerTest, DestructorCancelsPendingTick) {
+  Scheduler sched;
+  {
+    PeriodicTimer timer(&sched, [] {});
+    timer.Start(10);
+    EXPECT_EQ(sched.daemon_pending(), 1u);
+  }
+  EXPECT_EQ(sched.daemon_pending(), 0u);
+  EXPECT_EQ(sched.pending_total(), 0u);
+}
+
 TEST(RngTest, DeterministicForFixedSeed) {
   Rng a(42);
   Rng b(42);

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/net/network.h"
+#include "src/sim/telemetry.h"
 #include "src/tcp/tcp.h"
-#include "src/workload/samplers.h"
 
 namespace tfc {
 namespace {
@@ -199,20 +203,30 @@ TEST(TransportTest, SynRetransmittedWhenLost) {
   EXPECT_GT(flow.stats().timeouts, 0u);
 }
 
-TEST(TransportTest, GoodputSamplerMatchesDeliveredBytes) {
+TEST(TransportTest, DeliveredBytesSeriesReachesLineRate) {
   Dumbbell d;
   TcpSender flow(&d.net, d.a, d.b, TcpConfig());
-  GoodputSampler sampler(
-      &d.net.scheduler(), [&] { return flow.delivered_bytes(); }, Milliseconds(10));
+  const std::string delivered = "flow." + std::to_string(flow.flow_id()) + ".delivered_bytes";
+  const TimeNs interval = Milliseconds(10);
+  TimeSeriesRecorder recorder(&d.net.scheduler(), &d.net.metrics());
+  recorder.Watch(delivered);
+  recorder.Start(interval, /*first_delay=*/0);
   flow.Write(10'000'000);
   flow.Close();
   flow.Start();
   d.net.scheduler().RunUntil(Milliseconds(100));
-  sampler.Stop();
+  recorder.Stop();
   d.net.scheduler().Run();
 
-  // Mean sampled goodput over the run should be near line rate after ramp-up.
-  EXPECT_GT(sampler.stats.max(), 0.9e9);
+  // The per-interval goodput taken from the flow's delivered_bytes series
+  // must reach near line rate after ramp-up.
+  const std::vector<TimeSeriesRecorder::Sample> series = recorder.Series(delivered);
+  ASSERT_EQ(series.size(), 11u);  // t = 0, 10, ..., 100 ms
+  double max_bps = 0.0;
+  for (size_t i = 1; i < series.size(); ++i) {
+    max_bps = std::max(max_bps, (series[i].v - series[i - 1].v) * 8.0 / ToSeconds(interval));
+  }
+  EXPECT_GT(max_bps, 0.9e9);
 }
 
 }  // namespace

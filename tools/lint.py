@@ -31,7 +31,15 @@ Rules enforced (see docs/correctness.md):
                   a packet must either route it through those funnels or
                   carry an explicit `// lint:allow packet-drop` with a
                   counter/metric justifying the loss (e.g. host teardown
-                  drops, arbiter expiry).
+                  drops, arbiter expiry). The call is matched across line
+                  breaks and reported (and suppressed) at the line of
+                  `EmitTrace(`.
+  daemon-tick     periodic work in src/ ticks through PeriodicTimer
+                  (src/sim/timer.h): `ScheduleDaemonAfter(` may appear only
+                  in the scheduler itself, in timer.h, and in the fault
+                  injector's one-shot timeline (src/net/fault.cc), so no
+                  hand-rolled self-rescheduling loop comes back. No
+                  suppression marker.
   raw-thread      threading primitives in src/ must be the annotated wrappers
                   from src/sim/thread_annotations.h (tfc::Mutex, MutexLock)
                   so clang's -Wthread-safety sees every lock. Raw
@@ -119,12 +127,21 @@ HOT_IO_ALLOWED_FILES = {
 }
 # packet-drop: the sanctioned drop-trace funnels. Everything else in src/
 # needs an explicit suppression tied to a counter.
+# Matched against comment-stripped whole-file text: \s spans line breaks.
 PACKET_DROP_RE = re.compile(
     r"EmitTrace\s*\(\s*FlightEventType::k(?:Fault)?Drop\b"
 )
 PACKET_DROP_ALLOWED_FILES = {
     "src/net/port.cc",
     "src/net/fault.cc",
+}
+
+# daemon-tick: the only places in src/ that may schedule daemon events.
+DAEMON_TICK_RE = re.compile(r"\bScheduleDaemonAfter\s*\(")
+DAEMON_TICK_ALLOWED_FILES = {
+    "src/sim/scheduler.h",  # the primitive itself
+    "src/sim/timer.h",      # PeriodicTimer, the one periodic ticker
+    "src/net/fault.cc",     # the injector's cancellable one-shot timeline
 }
 
 # raw-thread: the annotated wrappers are the only threading primitives
@@ -296,10 +313,28 @@ def lint_recorder_hot(text: str, rel: str) -> list[str]:
     return errors
 
 
+def lint_packet_drop(text: str, rel: str) -> list[str]:
+    if not rel.startswith("src/") or rel in PACKET_DROP_ALLOWED_FILES:
+        return []
+    raw_lines = text.splitlines()
+    code = "\n".join(LINE_COMMENT_RE.sub("", line) for line in raw_lines)
+    errors = []
+    for m in PACKET_DROP_RE.finditer(code):
+        lineno = code.count("\n", 0, m.start()) + 1
+        if allow(raw_lines[lineno - 1], "packet-drop"):
+            continue
+        errors.append(
+            f"{rel}:{lineno}: [packet-drop] drop traces may only be "
+            "emitted by src/net/port.cc or src/net/fault.cc; other "
+            "sites need a counter and `// lint:allow packet-drop`"
+        )
+    return errors
+
+
 def lint_text(text: str, rel: str) -> list[str]:
     """All violations in one file's text; `rel` is its repo-relative path,
     which decides the layer-scoped rules and allowlists."""
-    errors = lint_recorder_hot(text, rel)
+    errors = lint_recorder_hot(text, rel) + lint_packet_drop(text, rel)
     mutex_decls: list[tuple[int, str]] = []  # (lineno, mutex name)
     guarded_names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -344,15 +379,14 @@ def lint_text(text: str, rel: str) -> list[str]:
                 "(src/sim/telemetry.h)"
             )
         if (
-            PACKET_DROP_RE.search(code)
+            DAEMON_TICK_RE.search(code)
             and rel.startswith("src/")
-            and rel not in PACKET_DROP_ALLOWED_FILES
-            and not allow(raw, "packet-drop")
+            and rel not in DAEMON_TICK_ALLOWED_FILES
         ):
             errors.append(
-                f"{rel}:{lineno}: [packet-drop] drop traces may only be "
-                "emitted by src/net/port.cc or src/net/fault.cc; other "
-                "sites need a counter and `// lint:allow packet-drop`"
+                f"{rel}:{lineno}: [daemon-tick] periodic work ticks through "
+                "PeriodicTimer (src/sim/timer.h), not a hand-rolled "
+                "ScheduleDaemonAfter loop"
             )
         if (
             RAW_THREAD_RE.search(code)
