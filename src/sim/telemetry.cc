@@ -593,39 +593,11 @@ std::string JsonlTail(const std::string& quoted_name, double v) {
   return ", \"name\": " + quoted_name + ", \"v\": " + JsonNumber(v) + "}\n";
 }
 
-// Version 1 body: one fixed-width record per sample.
-bool DecodeTfcbV1(const std::string& data, size_t off, uint64_t record_count,
-                  const std::vector<std::string>& quoted_names,
-                  const std::string& where, JsonlWriter& out, std::string* error) {
-  constexpr size_t kRecordBytes = 4 + 8 + 8;  // series_id, t_ns, v
-  if (data.size() - off != record_count * kRecordBytes) {
-    *error = where + ": record section is " + std::to_string(data.size() - off) +
-             " bytes, header promises " + std::to_string(record_count * kRecordBytes);
-    return false;
-  }
-  for (uint64_t i = 0; i < record_count; ++i) {
-    uint32_t series_id = 0;
-    uint64_t t_bits = 0;
-    uint64_t v_bits = 0;
-    GetU32(data, off, &series_id);
-    GetU64(data, off, &t_bits);
-    GetU64(data, off, &v_bits);
-    if (series_id >= quoted_names.size()) {
-      *error = where + ": record " + std::to_string(i) +
-               " names out-of-range series " + std::to_string(series_id);
-      return false;
-    }
-    out.Line(static_cast<int64_t>(t_bits),
-             JsonlTail(quoted_names[series_id], std::bit_cast<double>(v_bits)));
-  }
-  return true;
-}
-
-// Version 2 body: the tick-time table, then value runs expanded one line
-// per covered tick.
-bool DecodeTfcbV2(const std::string& data, size_t off, uint64_t tick_count,
-                  uint64_t run_count, const std::vector<std::string>& quoted_names,
-                  const std::string& where, JsonlWriter& out, std::string* error) {
+// Body: the tick-time table, then value runs expanded one line per covered
+// tick.
+bool DecodeTfcbBody(const std::string& data, size_t off, uint64_t tick_count,
+                    uint64_t run_count, const std::vector<std::string>& quoted_names,
+                    const std::string& where, JsonlWriter& out, std::string* error) {
   // Divide rather than multiply: the counts come from the file and may be
   // large enough to overflow.
   const uint64_t body = data.size() - off;
@@ -700,8 +672,9 @@ bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
                    std::istreambuf_iterator<char>());
   in.close();
 
-  // Both versions share the first 20 bytes: magic, version, series_count,
-  // and a u64 (v1 record_count, v2 tick_count). v2 adds a u64 run_count.
+  // Header: magic, version, series_count, tick_count, run_count. The first
+  // 20 bytes are checked before the version so that a file of another
+  // version is named as such rather than as truncated.
   size_t off = 0;
   if (data.size() < 20 ||
       data.compare(0, sizeof kTfcbMagic, kTfcbMagic, sizeof kTfcbMagic) != 0) {
@@ -711,16 +684,16 @@ bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
   off = sizeof kTfcbMagic;
   uint32_t version = 0;
   uint32_t series_count = 0;
-  uint64_t count = 0;
+  uint64_t tick_count = 0;
   uint64_t run_count = 0;
   GetU32(data, off, &version);
   GetU32(data, off, &series_count);
-  GetU64(data, off, &count);
-  if (version != 1 && version != kTfcbVersion) {
+  GetU64(data, off, &tick_count);
+  if (version != kTfcbVersion) {
     *error = tfcb_path + ": unsupported TFCB version " + std::to_string(version);
     return false;
   }
-  if (version == kTfcbVersion && !GetU64(data, off, &run_count)) {
+  if (!GetU64(data, off, &run_count)) {
     *error = tfcb_path + ": truncated header";
     return false;
   }
@@ -745,9 +718,7 @@ bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
     return false;
   }
   const bool decoded =
-      version == 1
-          ? DecodeTfcbV1(data, off, count, quoted_names, tfcb_path, out, error)
-          : DecodeTfcbV2(data, off, count, run_count, quoted_names, tfcb_path, out, error);
+      DecodeTfcbBody(data, off, tick_count, run_count, quoted_names, tfcb_path, out, error);
   if (!out.Close() && decoded) {
     *error = "write failed: " + jsonl_path;
     return false;

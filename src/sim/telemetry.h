@@ -522,10 +522,7 @@ class Profiler;
 //            series in name-table order, oldest first
 //
 // The converter expands runs into the legacy metrics.jsonl byte-compatibly
-// (same shortest-round-trip number formatting as the old exporter). It
-// also still reads version 1, whose body after the name table is
-// u64 record_count (in the header, 20 bytes total) records of
-// {u32 series_id, u64 t_ns, f64 v} — one per sample.
+// (same shortest-round-trip number formatting as the old exporter).
 inline constexpr char kTfcbMagic[4] = {'T', 'F', 'C', 'B'};
 inline constexpr uint32_t kTfcbVersion = 2;
 inline constexpr size_t kTfcbRunBytes = 4 + 4 + 4 + 8;

@@ -716,18 +716,18 @@ TEST(ExporterTest, ConverterRejectsMissingAndCorruptSpills) {
   EXPECT_NE(error.find("bad magic"), std::string::npos);
 
   {
-    // Valid magic/version but the header promises records that are not
-    // there: 1 series, 1 record, then a truncated body.
+    // Valid magic/version but the header promises a tick and a run that
+    // are not there: 1 series, 1 tick, 1 run, then an empty body.
     std::ofstream f(dir + "/short.tfcb", std::ios::binary);
-    const unsigned char header[] = {'T', 'F', 'C', 'B', 1, 0, 0, 0,
-                                    1,   0,   0,   0,   1, 0, 0, 0,
-                                    0,   0,   0,   0};
+    const unsigned char header[] = {'T', 'F', 'C', 'B', 2, 0, 0, 0, 1, 0,
+                                    0,   0,   1,   0,   0, 0, 0, 0, 0, 0,
+                                    1,   0,   0,   0,   0, 0, 0, 0};
     f.write(reinterpret_cast<const char*>(header), sizeof header);
     f << "\x01" << std::string(3, '\0') << "q";  // name table: "q"
   }
   EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/short.tfcb",
                                          dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("record section"), std::string::npos);
+  EXPECT_NE(error.find("header promises"), std::string::npos);
 }
 
 // Little-endian byte packing for hand-built spills.
@@ -761,36 +761,6 @@ std::string TfcbV2(const std::vector<std::tuple<uint32_t, uint32_t, uint32_t, do
 void WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(ExporterTest, ConverterStillDecodesVersion1Spills) {
-  // Run directories written before run-length storage hold v1 spills: one
-  // {u32 series_id, u64 t_ns, f64 v} record per sample.
-  const std::string dir = testing::TempDir() + "/telemetry_v1";
-  std::filesystem::create_directories(dir);
-  std::string d = "TFCB";
-  PutLe(d, 1, 4);  // version
-  PutLe(d, 2, 4);  // series_count
-  PutLe(d, 3, 8);  // record_count
-  PutLe(d, 1, 4);
-  d += "a";
-  PutLe(d, 1, 4);
-  d += "b";
-  const std::vector<std::tuple<uint32_t, int64_t, double>> records = {
-      {0, 0, 1.0}, {0, 10000, 1.0}, {1, 0, 2.5}};
-  for (const auto& [sid, t, v] : records) {
-    PutLe(d, sid, 4);
-    PutLe(d, static_cast<uint64_t>(t), 8);
-    PutLe(d, std::bit_cast<uint64_t>(v), 8);
-  }
-  WriteBytes(dir + "/metrics.tfcb", d);
-  std::string error;
-  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb", dir + "/metrics.jsonl", &error))
-      << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.jsonl"),
-            "{\"t_ns\": 0, \"name\": \"a\", \"v\": 1}\n"
-            "{\"t_ns\": 10000, \"name\": \"a\", \"v\": 1}\n"
-            "{\"t_ns\": 0, \"name\": \"b\", \"v\": 2.5}\n");
 }
 
 TEST(ExporterTest, ConverterExpandsVersion2RunsAndRejectsCorruptOnes) {
@@ -827,6 +797,13 @@ TEST(ExporterTest, ConverterExpandsVersion2RunsAndRejectsCorruptOnes) {
   WriteBytes(in, truncated);
   EXPECT_FALSE(ConvertMetricsTfcbToJsonl(in, out, &error));
   EXPECT_NE(error.find("header promises"), std::string::npos) << error;
+
+  // Version 1 (one record per sample) is no longer read.
+  std::string v1 = TfcbV2({{0, 0, 2, 1.0}});
+  v1[4] = 1;
+  WriteBytes(in, v1);
+  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(in, out, &error));
+  EXPECT_NE(error.find("unsupported TFCB version 1"), std::string::npos) << error;
 }
 
 TEST(ExporterTest, WriteFailureReportsError) {

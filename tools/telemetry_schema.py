@@ -18,15 +18,12 @@ Checks the files the exporter (src/sim/telemetry.cc) writes per run:
                   every run must cover ticks >= 1 with first_tick + ticks
                   <= tick_count and name an in-range series; runs are
                   grouped by series in name-table order, and a series'
-                  runs are ordered and do not overlap. Version 1 (what
-                  older run directories hold) has a u64 record_count in
-                  place of the two counts and one fixed-width
-                  {u32 series_id, u64 t_ns, f64 v} record per sample, t_ns
-                  non-decreasing per series.
+                  runs are ordered and do not overlap. Other versions
+                  are rejected.
   metrics.jsonl   optional converter output (`tfcsim --convert=RUN_DIR`):
                   one sample object {"t_ns", "name", "v"} per line; when
                   present its line count is cross-checked against the
-                  spill's sample count (v1 records, v2 summed run ticks).
+                  spill's sample count (its summed run ticks).
   summary.json    schema_version == 2 plus counters / gauges / histograms /
                   profile sections with the shapes documented in
                   docs/observability.md.
@@ -74,11 +71,10 @@ from pathlib import Path
 SCHEMA_VERSION = 2
 TFCB_MAGIC = b"TFCB"
 TFCB_PREFIX = struct.Struct("<4sII")     # magic, version, series_count
-TFCB_V1_COUNTS = struct.Struct("<Q")     # record_count
-TFCB_V1_RECORD = struct.Struct("<IQd")   # series_id, t_ns, v
-TFCB_V2_COUNTS = struct.Struct("<QQ")    # tick_count, run_count
-TFCB_V2_TICK = struct.Struct("<q")       # t_ns
-TFCB_V2_RUN = struct.Struct("<IIId")     # series_id, first_tick, ticks, v
+TFCB_VERSION = 2
+TFCB_COUNTS = struct.Struct("<QQ")       # tick_count, run_count
+TFCB_TICK = struct.Struct("<q")          # t_ns
+TFCB_RUN = struct.Struct("<IIId")        # series_id, first_tick, ticks, v
 
 TFCT_MAGIC = b"TFCT"
 TFCT_VERSION = 1
@@ -149,14 +145,14 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
     magic, version, series_count = TFCB_PREFIX.unpack_from(data)
     if not ck.expect(magic == TFCB_MAGIC, where, f"bad magic {magic!r}"):
         return 0
-    if not ck.expect(version in (1, 2), where, f"version must be 1 or 2, got {version}"):
+    if not ck.expect(version == TFCB_VERSION, where,
+                     f"version must be {TFCB_VERSION}, got {version}"):
         return 0
-    counts = TFCB_V1_COUNTS if version == 1 else TFCB_V2_COUNTS
-    if len(data) < TFCB_PREFIX.size + counts.size:
+    if len(data) < TFCB_PREFIX.size + TFCB_COUNTS.size:
         ck.error(where, f"truncated header ({len(data)} bytes)")
         return 0
-    header_counts = counts.unpack_from(data, TFCB_PREFIX.size)
-    off = TFCB_PREFIX.size + counts.size
+    tick_count, run_count = TFCB_COUNTS.unpack_from(data, TFCB_PREFIX.size)
+    off = TFCB_PREFIX.size + TFCB_COUNTS.size
     names = []
     for i in range(series_count):
         if off + 4 > len(data):
@@ -175,38 +171,17 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
         ck.expect(bool(name), where, f"name {i} must be non-empty")
         names.append(name)
         off += length
-    body = data[off:]
-    if version == 1:
-        return check_tfcb_v1_body(body, names, *header_counts, where, ck)
-    return check_tfcb_v2_body(body, names, *header_counts, where, ck)
+    return check_tfcb_body(data[off:], names, tick_count, run_count, where, ck)
 
 
-def check_tfcb_v1_body(body, names, record_count, where, ck) -> int:
-    if not ck.expect(len(body) == record_count * TFCB_V1_RECORD.size, where,
-                     f"record section is {len(body)} bytes, header promises "
-                     f"{record_count * TFCB_V1_RECORD.size}"):
-        return 0
-    last_t = {}  # series_id -> last t_ns
-    for i, (series_id, t_ns, _v) in enumerate(TFCB_V1_RECORD.iter_unpack(body)):
-        if not ck.expect(series_id < len(names), where,
-                         f"record {i} names out-of-range series {series_id}"):
-            return 0
-        prev = last_t.get(series_id)
-        ck.expect(prev is None or t_ns >= prev, where,
-                  f"t_ns went backwards for series {names[series_id]!r}: "
-                  f"{prev} -> {t_ns}")
-        last_t[series_id] = t_ns
-    return record_count
-
-
-def check_tfcb_v2_body(body, names, tick_count, run_count, where, ck) -> int:
-    ticks_size = tick_count * TFCB_V2_TICK.size
-    if not ck.expect(len(body) == ticks_size + run_count * TFCB_V2_RUN.size, where,
+def check_tfcb_body(body, names, tick_count, run_count, where, ck) -> int:
+    ticks_size = tick_count * TFCB_TICK.size
+    if not ck.expect(len(body) == ticks_size + run_count * TFCB_RUN.size, where,
                      f"body is {len(body)} bytes, header promises {tick_count} "
                      f"ticks and {run_count} runs"):
         return 0
     prev_t = None
-    for i, (t_ns,) in enumerate(TFCB_V2_TICK.iter_unpack(body[:ticks_size])):
+    for i, (t_ns,) in enumerate(TFCB_TICK.iter_unpack(body[:ticks_size])):
         if not ck.expect(prev_t is None or t_ns >= prev_t, where,
                          f"tick {i} time went backwards: {prev_t} -> {t_ns}"):
             return 0
@@ -214,7 +189,7 @@ def check_tfcb_v2_body(body, names, tick_count, run_count, where, ck) -> int:
     samples = 0
     prev_sid, prev_end = -1, 0  # previous run's series and one-past-last tick
     for i, (sid, first, ticks, _v) in enumerate(
-            TFCB_V2_RUN.iter_unpack(body[ticks_size:])):
+            TFCB_RUN.iter_unpack(body[ticks_size:])):
         loc = f"run {i}"
         if not (ck.expect(sid < len(names), where,
                           f"{loc} names out-of-range series {sid}")
