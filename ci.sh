@@ -74,14 +74,19 @@ leg_telemetry() {
   ./build/examples/tfcsim --workload=incast --protocol=tfc --topology=testbed \
       --senders=8 --block_kb=64 --rounds=5 \
       --telemetry-dir="${dir}" --telemetry-interval=500
-  # Decode the binary spill back to JSONL, then validate both (the schema
-  # checker cross-checks converted line count against the spill's records).
-  ./build/examples/tfcsim --convert="${dir}"
   python3 tools/telemetry_schema.py "${dir}"
-  # The run must actually contain the series the figures are built from.
+  # The run must actually contain the series the figures are built from:
+  # read the series names from the spill's name table (the layout the
+  # schema check just validated: a 28-byte header, then {u32 len, bytes}).
   python3 - "${dir}" <<'EOF'
-import json, sys
-names = {json.loads(l)["name"] for l in open(sys.argv[1] + "/metrics.jsonl")}
+import json, struct, sys
+spill = open(sys.argv[1] + "/metrics.tfcb", "rb").read()
+(series_count,) = struct.unpack_from("<I", spill, 8)
+names, off = set(), 28
+for _ in range(series_count):
+    (length,) = struct.unpack_from("<I", spill, off)
+    names.add(spill[off + 4:off + 4 + length].decode())
+    off += 4 + length
 want_prefixes = ("port.", "tfc.", "flow.")
 for p in want_prefixes:
     assert any(n.startswith(p) for n in names), f"no {p}* series recorded"

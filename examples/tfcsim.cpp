@@ -21,7 +21,6 @@
 //   --force-audit-trip=US     fail an audit at US microseconds (testing)
 //   --telemetry-dir=DIR       write manifest.json/metrics.tfcb/summary.json
 //   --telemetry-interval=US   recorder sampling period in microseconds
-//   --convert=RUN_DIR         decode RUN_DIR/metrics.tfcb to RUN_DIR/metrics.jsonl
 //   --fault-spec=SPEC         inject faults (see src/net/fault.h), e.g.
 //                             drop=0.01,flap=5ms/500us,wipe=10ms,seed=7
 //   --sweep=N                 run N independent repetitions (seeds seed..seed+N-1)
@@ -67,7 +66,6 @@ struct Options {
   uint64_t seed = 1;
   std::string trace_file;
   std::string telemetry_dir;
-  std::string convert_dir;
   std::string fault_spec;
   uint64_t telemetry_interval_us = 1000;
   int sweep = 1;
@@ -132,8 +130,6 @@ void PrintHelp() {
       "  --telemetry-dir=DIR       write a telemetry run directory\n"
       "                            (manifest.json, metrics.tfcb, summary.json)\n"
       "  --telemetry-interval=US   recorder sampling period (default 1000 us)\n"
-      "  --convert=RUN_DIR         decode RUN_DIR/metrics.tfcb into the legacy\n"
-      "                            RUN_DIR/metrics.jsonl and exit\n"
       "  --fault-spec=SPEC         deterministic fault schedule, e.g.\n"
       "                            drop=0.01,ge=0.02/0.3/0.5,flap=5ms/500us,\n"
       "                            wipe=10ms,host_down=4ms+1ms,seed=7\n"
@@ -527,7 +523,6 @@ int main(int argc, char** argv) {
                ParseFlag(arg, "topology", &opt.topology) ||
                ParseFlag(arg, "trace", &opt.trace_file) ||
                ParseFlag(arg, "telemetry-dir", &opt.telemetry_dir) ||
-               ParseFlag(arg, "convert", &opt.convert_dir) ||
                ParseFlag(arg, "export-trace", &opt.export_trace_dir) ||
                ParseFlag(arg, "fault-spec", &opt.fault_spec)) {
       continue;
@@ -571,19 +566,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg);
       return 1;
     }
-  }
-  if (!opt.convert_dir.empty()) {
-    // Offline converter mode: no simulation, just decode the binary spill
-    // back to the legacy JSONL for plotting scripts and diffing.
-    const std::string tfcb = opt.convert_dir + "/metrics.tfcb";
-    const std::string jsonl = opt.convert_dir + "/metrics.jsonl";
-    std::string error;
-    if (!tfc::ConvertMetricsTfcbToJsonl(tfcb, jsonl, &error)) {
-      std::fprintf(stderr, "convert failed: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("converted %s -> %s\n", tfcb.c_str(), jsonl.c_str());
-    return 0;
   }
   if (!opt.export_trace_dir.empty()) {
     // Offline exporter mode: no simulation, just render DIR/flight.tfct into

@@ -17,7 +17,6 @@ namespace tfc {
 
 struct DctcpConfig {
   TcpConfig tcp;
-  double g = 1.0 / 16.0;  // paper's recommended EWMA gain
 };
 
 // Recommended marking threshold at 1 Gbps (paper Sec. 6.1.1: K = 32 KB).
@@ -36,7 +35,6 @@ class DctcpSender : public TcpSender {
   void OnAckedData(const Packet& ack, Bytes newly_acked) override;
 
  private:
-  DctcpConfig config_;
   double alpha_ = 1.0;  // start conservative, as the Linux implementation does
   Bytes acked_window_ = 0;
   Bytes marked_window_ = 0;

@@ -160,15 +160,12 @@ FaultInjector::~FaultInjector() {
   }
   Scheduler& sched = net_->scheduler();
   for (Scheduler::EventId id : timeline_) {
-    sched.CancelDaemon(id);  // fired/cancelled ids are safe no-ops
+    sched.Cancel(id);  // fired/cancelled ids are safe no-ops
   }
 }
 
 void FaultInjector::RegisterMetrics() {
   metrics_.Reset(&net_->metrics());
-  // A replacement injector (tests rebuild them mid-run) takes over the
-  // fault.* names rather than aborting on the collision.
-  metrics_.set_replace_on_collision(true);
   metrics_.AddCallbackGauge("fault.drops",
                             [this] { return static_cast<double>(drops_); });
   metrics_.AddCallbackGauge("fault.random_drops",

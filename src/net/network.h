@@ -178,7 +178,7 @@ class Network : public FlightNames {
   // into the pool.
   AuditRegistry audit_registry_;
   MetricRegistry metrics_;
-  Profiler profiler_{&metrics_};
+  Profiler profiler_;
   // Declared before the scheduler and nodes so the ring (and its post-
   // mortem registration) outlives the final audit pass in ~Network.
   FlightRecorder flight_;

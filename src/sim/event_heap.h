@@ -13,10 +13,10 @@
 // Layout notes, because this structure is the single hottest data path in
 // the simulator (sifting a 100k-event heap is memory-bound, so every byte
 // moved per level counts):
-//   - heap slots are 16 bytes: (time, record id). The FIFO tie-break seq
-//     lives in the record's Meta entry and is read only when two times
-//     compare equal, so the common-case sift touches half the bytes a
-//     (time, seq, rec) slot would;
+//   - heap slots are 16 bytes: (time, record id, daemon flag). The FIFO
+//     tie-break seq lives in the record's Meta entry and is read only when
+//     two times compare equal, so the common-case sift touches half the
+//     bytes a (time, seq, rec) slot would;
 //   - the slot array is allocated 64-byte aligned with the base offset so
 //     that a node's four children (indices 4i+1..4i+4) share exactly one
 //     cache line — one miss per level instead of up to two;
@@ -77,6 +77,8 @@ class EventHeap {
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
+  // Pending events pushed with `daemon` set.
+  size_t daemon_size() const { return daemon_size_; }
 
   // Key of the earliest event; heap must be non-empty.
   TimeNs top_time() const { return slots_[0].time; }
@@ -84,9 +86,10 @@ class EventHeap {
   // Inserts an event. `seq` is the FIFO tie-break for equal times and must
   // be unique and increasing across Push calls. `f` is any callable the
   // Callback type accepts; it is constructed directly in the callback slab
-  // (no intermediate Callback object, no extra move).
+  // (no intermediate Callback object, no extra move). `daemon` rides in the
+  // heap slot, so Pop and Remove keep daemon_size() exact.
   template <typename F>
-  Handle Push(TimeNs time, uint64_t seq, F&& f) {
+  Handle Push(TimeNs time, uint64_t seq, F&& f, bool daemon = false) {
     uint32_t rec;
     if (free_head_ != kNullIndex) {
       rec = free_head_;
@@ -107,7 +110,8 @@ class EventHeap {
       GrowSlots();
     }
     const uint32_t pos = size_++;
-    SiftUp(pos, Slot{time, rec, 0});
+    daemon_size_ += daemon ? 1 : 0;
+    SiftUp(pos, Slot{time, rec, daemon ? 1u : 0u});
     return Handle{rec, meta_[rec].gen};
   }
 
@@ -119,6 +123,7 @@ class EventHeap {
     }
     const uint32_t pos = meta_[h.index].pos_or_next_free;
     TFC_DCHECK(pos < size_ && slots_[pos].rec == h.index);
+    daemon_size_ -= slots_[pos].daemon;
     CbAt(h.index) = Callback();  // destroy the callable eagerly
     FreeRecord(h.index);
     FillHole(pos);
@@ -128,11 +133,13 @@ class EventHeap {
   // Structural self-check, used by the runtime auditor and the differential
   // fuzz harness. Re-derives from scratch what the incremental operations
   // maintain: the d-ary heap property, back-index agreement for every live
-  // slot, free-list integrity (no cycles, no out-of-range links), and the
-  // live + free = allocated record ledger.
+  // slot, free-list integrity (no cycles, no out-of-range links), the
+  // live + free = allocated record ledger, and the daemon count.
   void AuditInvariants(Auditor& audit) const {
     audit.CheckLe(size_, cap_, "size<=cap");
+    uint32_t daemons = 0;
     for (uint32_t pos = 0; pos < size_; ++pos) {
+      daemons += slots_[pos].daemon;
       const uint32_t rec = slots_[pos].rec;
       if (rec >= meta_.size()) {
         audit.Check(false, "slot.rec in range",
@@ -158,6 +165,7 @@ class EventHeap {
       ++free_count;
       rec = meta_[rec].pos_or_next_free;
     }
+    audit.CheckEq(daemons, daemon_size_, "daemon count matches flagged slots");
     audit.CheckLe(free_count, meta_.size(), "free list acyclic");
     audit.CheckEq(size_ + free_count, meta_.size(), "live+free==allocated records");
   }
@@ -167,6 +175,7 @@ class EventHeap {
     TFC_DCHECK_GT(size_, 0u);
     const uint32_t rec = slots_[0].rec;
     *time = slots_[0].time;
+    daemon_size_ -= slots_[0].daemon;
     Callback cb = std::move(CbAt(rec));  // leaves the slab entry empty
     FreeRecord(rec);
     FillHole(0);
@@ -185,7 +194,7 @@ class EventHeap {
   struct Slot {
     TimeNs time;
     uint32_t rec;
-    uint32_t pad;
+    uint32_t daemon;  // 1 for a daemon event, else 0
   };
   static_assert(sizeof(Slot) == 16 && std::is_trivially_copyable_v<Slot>);
 
@@ -292,6 +301,7 @@ class EventHeap {
   void* raw_ = nullptr;
   uint32_t size_ = 0;
   uint32_t cap_ = 0;
+  uint32_t daemon_size_ = 0;
   std::vector<Meta> meta_;  // record -> (seq, heap position / free link, gen)
   // record -> callable, in address-stable raw-storage chunks; untouched by
   // sifting. Alignment: operator new[] returns max_align_t-aligned memory

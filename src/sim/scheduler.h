@@ -61,46 +61,30 @@ class Scheduler {
   // returns as soon as only daemon events remain pending. PeriodicTimer
   // (src/sim/timer.h) ticks on these, which is what lets the periodic
   // invariant auditor, the telemetry recorder and the liveness watchdog
-  // coexist with tests that run the simulation to completion. A pending
-  // daemon event must be cancelled with CancelDaemon, never Cancel — plain
-  // Cancel cannot see the daemon accounting and would leave pending()
-  // permanently short by one.
+  // coexist with tests that run the simulation to completion. The heap
+  // flags the event as a daemon, so plain Cancel removes it like any other.
   template <typename F>
   EventId ScheduleDaemonAfter(TimeNs delay, F&& cb) {
-    ++daemon_pending_;
-    return ScheduleAt(now_ + delay,
-                      [this, f = std::forward<F>(cb)]() mutable {
-                        --daemon_pending_;
-                        f();
-                      });
+    const TimeNs t = now_ + delay;
+    TFC_CHECK_GE(t, now_);
+    return heap_.Push(t, ++next_seq_, std::forward<F>(cb), /*daemon=*/true);
   }
 
-  // Cancels a pending event. Returns true if the event was still pending.
-  // Cancelling an already-fired, already-cancelled, or invalid id is a no-op.
+  // Cancels a pending user or daemon event. Returns true if the event was
+  // still pending. Cancelling an already-fired, already-cancelled, or
+  // invalid id is a no-op.
   bool Cancel(EventId id) { return heap_.Remove(id); }
-
-  // Cancels a pending daemon event (one scheduled with ScheduleDaemonAfter).
-  // The daemon counter is adjusted only when the event was actually removed,
-  // so cancelling an already-fired daemon id is a safe no-op.
-  bool CancelDaemon(EventId id) {
-    if (heap_.Remove(id)) {
-      TFC_DCHECK_GT(daemon_pending_, 0u);
-      --daemon_pending_;
-      return true;
-    }
-    return false;
-  }
 
   // Number of pending (non-cancelled) user events. Daemon events are
   // infrastructure (PeriodicTimer ticks) and are excluded, so
   // "no leaked timers" assertions keep working with the auditor enabled.
-  size_t pending() const { return heap_.size() - daemon_pending_; }
+  size_t pending() const { return heap_.size() - heap_.daemon_size(); }
 
   // Number of pending events including daemons.
   size_t pending_total() const { return heap_.size(); }
 
   // Number of pending daemon events.
-  size_t daemon_pending() const { return daemon_pending_; }
+  size_t daemon_pending() const { return heap_.daemon_size(); }
 
   // Total number of events executed so far.
   uint64_t executed() const { return executed_; }
@@ -144,7 +128,7 @@ class Scheduler {
   // earlier iteration).
   bool PopAndRunOne(TimeNs limit, bool drain_mode) {
     if (heap_.empty() || heap_.top_time() > limit ||
-        (drain_mode && heap_.size() == daemon_pending_)) {
+        (drain_mode && heap_.size() == heap_.daemon_size())) {
       return false;
     }
     TimeNs t;
@@ -160,7 +144,6 @@ class Scheduler {
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  size_t daemon_pending_ = 0;
   bool stopped_ = false;
 };
 

@@ -10,7 +10,6 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <system_error>
 
@@ -65,21 +64,11 @@ uint64_t Histogram::Percentile(double p) const {
 
 MetricRegistry::Entry::~Entry() { delete hist; }
 
-MetricRegistry::Entry& MetricRegistry::Insert(std::string name, MetricKind kind,
-                                              uint64_t owner, bool replace) {
+MetricRegistry::Entry& MetricRegistry::Insert(std::string name, MetricKind kind) {
   TFC_CHECK_MSG(!name.empty(), "metric names must be non-empty");
   auto [it, inserted] = entries_.try_emplace(std::move(name));
-  if (!inserted) {
-    TFC_CHECK_MSG(replace, "duplicate metric name: " << it->first);
-    // Re-claim: drop the displaced entry (std::map node stability keeps
-    // every other metric pointer valid) and rebuild it fresh.
-    ReleaseId(it->second);
-    std::string key = it->first;
-    entries_.erase(it);
-    it = entries_.try_emplace(std::move(key)).first;
-  }
+  TFC_CHECK_MSG(inserted, "duplicate metric name: " << it->first);
   it->second.kind = kind;
-  it->second.owner = owner;
   AssignId(it->second);
   return it->second;
 }
@@ -116,23 +105,19 @@ MetricKind MetricRegistry::KindOfId(MetricId id) const {
 }
 
 Counter* MetricRegistry::AddCounter(std::string name) {
-  return &Insert(std::move(name), MetricKind::kCounter, /*owner=*/0, /*replace=*/false)
-              .counter;
+  return &Insert(std::move(name), MetricKind::kCounter).counter;
 }
 
 Gauge* MetricRegistry::AddGauge(std::string name) {
-  return &Insert(std::move(name), MetricKind::kGauge, /*owner=*/0, /*replace=*/false)
-              .gauge;
+  return &Insert(std::move(name), MetricKind::kGauge).gauge;
 }
 
 void MetricRegistry::AddCallbackGauge(std::string name, GaugeFn fn) {
-  Insert(std::move(name), MetricKind::kCallbackGauge, /*owner=*/0, /*replace=*/false)
-      .fn = std::move(fn);
+  Insert(std::move(name), MetricKind::kCallbackGauge).fn = std::move(fn);
 }
 
 Histogram* MetricRegistry::AddHistogram(std::string name) {
-  Entry& e = Insert(std::move(name), MetricKind::kHistogram, /*owner=*/0,
-                    /*replace=*/false);
+  Entry& e = Insert(std::move(name), MetricKind::kHistogram);
   e.hist = new Histogram();
   return e.hist;
 }
@@ -140,14 +125,6 @@ Histogram* MetricRegistry::AddHistogram(std::string name) {
 void MetricRegistry::Unregister(const std::string& name) {
   auto it = entries_.find(name);
   if (it != entries_.end()) {
-    ReleaseId(it->second);
-    entries_.erase(it);
-  }
-}
-
-void MetricRegistry::UnregisterOwned(const std::string& name, uint64_t token) {
-  auto it = entries_.find(name);
-  if (it != entries_.end() && it->second.owner == token) {
     ReleaseId(it->second);
     entries_.erase(it);
   }
@@ -204,29 +181,25 @@ void MetricRegistry::AuditInvariants(Auditor& audit) {
 Counter* ScopedMetrics::AddCounter(std::string name) {
   TFC_CHECK(registry_ != nullptr);
   names_.push_back(name);
-  return &registry_->Insert(std::move(name), MetricKind::kCounter, token_, replace_)
-              .counter;
+  return &registry_->Insert(std::move(name), MetricKind::kCounter).counter;
 }
 
 Gauge* ScopedMetrics::AddGauge(std::string name) {
   TFC_CHECK(registry_ != nullptr);
   names_.push_back(name);
-  return &registry_->Insert(std::move(name), MetricKind::kGauge, token_, replace_)
-              .gauge;
+  return &registry_->Insert(std::move(name), MetricKind::kGauge).gauge;
 }
 
 void ScopedMetrics::AddCallbackGauge(std::string name, MetricRegistry::GaugeFn fn) {
   TFC_CHECK(registry_ != nullptr);
   names_.push_back(name);
-  registry_->Insert(std::move(name), MetricKind::kCallbackGauge, token_, replace_).fn =
-      std::move(fn);
+  registry_->Insert(std::move(name), MetricKind::kCallbackGauge).fn = std::move(fn);
 }
 
 Histogram* ScopedMetrics::AddHistogram(std::string name) {
   TFC_CHECK(registry_ != nullptr);
   names_.push_back(name);
-  MetricRegistry::Entry& e =
-      registry_->Insert(std::move(name), MetricKind::kHistogram, token_, replace_);
+  MetricRegistry::Entry& e = registry_->Insert(std::move(name), MetricKind::kHistogram);
   e.hist = new Histogram();
   return e.hist;
 }
@@ -234,7 +207,7 @@ Histogram* ScopedMetrics::AddHistogram(std::string name) {
 void ScopedMetrics::Clear() {
   if (registry_ != nullptr) {
     for (const std::string& name : names_) {
-      registry_->UnregisterOwned(name, token_);
+      registry_->Unregister(name);
     }
   }
   names_.clear();
@@ -505,228 +478,6 @@ std::string Quoted(const std::string& s) { return "\"" + JsonEscape(s) + "\""; }
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Binary spill (metrics.tfcb)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Fixed little-endian packing, independent of host byte order.
-void PutU32(std::vector<unsigned char>& buf, uint32_t v) {
-  buf.push_back(static_cast<unsigned char>(v));
-  buf.push_back(static_cast<unsigned char>(v >> 8));
-  buf.push_back(static_cast<unsigned char>(v >> 16));
-  buf.push_back(static_cast<unsigned char>(v >> 24));
-}
-
-void PutU64(std::vector<unsigned char>& buf, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-bool GetU32(const std::string& d, size_t& off, uint32_t* out) {
-  if (off + 4 > d.size()) {
-    return false;
-  }
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(d[off + static_cast<size_t>(i)]);
-  }
-  *out = v;
-  off += 4;
-  return true;
-}
-
-bool GetU64(const std::string& d, size_t& off, uint64_t* out) {
-  if (off + 8 > d.size()) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(d[off + static_cast<size_t>(i)]);
-  }
-  *out = v;
-  off += 8;
-  return true;
-}
-
-// Legacy JSONL output, one {"t_ns": T, "name": "...", "v": V} line per
-// sample, written out in ~1 MB batches.
-class JsonlWriter {
- public:
-  explicit JsonlWriter(const std::string& path)
-      : f_(path, std::ios::trunc | std::ios::binary) {}
-  bool is_open() const { return f_.is_open(); }
-
-  // `t` is the raw t_ns field; `tail` is everything after it
-  // (`, "name": "...", "v": V}\n`), rendered once per series value by
-  // JsonlTail.
-  void Line(int64_t t, const std::string& tail) {
-    char num[24];
-    const auto [end, ec] = std::to_chars(num, num + sizeof num, t);
-    buf_ += "{\"t_ns\": ";
-    buf_.append(num, end);
-    buf_ += tail;
-    if (buf_.size() >= kFlushBytes) {
-      Flush();
-    }
-  }
-
-  bool Close() {
-    Flush();
-    f_.close();
-    return !f_.fail();
-  }
-
- private:
-  static constexpr size_t kFlushBytes = 1 << 20;
-  void Flush() {
-    f_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-  }
-
-  std::ofstream f_;
-  std::string buf_;
-};
-
-std::string JsonlTail(const std::string& quoted_name, double v) {
-  return ", \"name\": " + quoted_name + ", \"v\": " + JsonNumber(v) + "}\n";
-}
-
-// Body: the tick-time table, then value runs expanded one line per covered
-// tick.
-bool DecodeTfcbBody(const std::string& data, size_t off, uint64_t tick_count,
-                    uint64_t run_count, const std::vector<std::string>& quoted_names,
-                    const std::string& where, JsonlWriter& out, std::string* error) {
-  // Divide rather than multiply: the counts come from the file and may be
-  // large enough to overflow.
-  const uint64_t body = data.size() - off;
-  if (tick_count > body / 8 || (body - tick_count * 8) / kTfcbRunBytes != run_count ||
-      (body - tick_count * 8) % kTfcbRunBytes != 0) {
-    *error = where + ": body is " + std::to_string(body) + " bytes, header promises " +
-             std::to_string(tick_count) + " ticks and " + std::to_string(run_count) +
-             " runs";
-    return false;
-  }
-  std::vector<int64_t> tick_t(tick_count);
-  for (int64_t& t : tick_t) {
-    uint64_t bits = 0;
-    GetU64(data, off, &bits);
-    t = static_cast<int64_t>(bits);
-  }
-  uint32_t prev_series = 0;
-  uint64_t prev_end = 0;  // one past the previous run's last tick
-  for (uint64_t i = 0; i < run_count; ++i) {
-    uint32_t series_id = 0;
-    uint32_t first_tick = 0;
-    uint32_t ticks = 0;
-    uint64_t v_bits = 0;
-    GetU32(data, off, &series_id);
-    GetU32(data, off, &first_tick);
-    GetU32(data, off, &ticks);
-    GetU64(data, off, &v_bits);
-    auto reject = [&](const std::string& why) {
-      *error = where + ": run " + std::to_string(i) + " " + why;
-      return false;
-    };
-    if (series_id >= quoted_names.size()) {
-      return reject("names out-of-range series " + std::to_string(series_id));
-    }
-    if (ticks == 0) {
-      return reject("covers zero ticks");
-    }
-    const uint64_t end = static_cast<uint64_t>(first_tick) + ticks;
-    if (end > tick_count) {
-      return reject("ends at tick " + std::to_string(end) + ", past tick_count " +
-                    std::to_string(tick_count));
-    }
-    if (i > 0 && (series_id < prev_series ||
-                  (series_id == prev_series && first_tick < prev_end))) {
-      return reject("is out of order or overlaps the run before it");
-    }
-    prev_series = series_id;
-    prev_end = end;
-    const std::string tail = JsonlTail(quoted_names[series_id], std::bit_cast<double>(v_bits));
-    for (uint64_t k = first_tick; k < end; ++k) {
-      out.Line(tick_t[k], tail);
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
-                               const std::string& jsonl_path,
-                               std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
-  }
-  std::ifstream in(tfcb_path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open " + tfcb_path;
-    return false;
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-
-  // Header: magic, version, series_count, tick_count, run_count. The first
-  // 20 bytes are checked before the version so that a file of another
-  // version is named as such rather than as truncated.
-  size_t off = 0;
-  if (data.size() < 20 ||
-      data.compare(0, sizeof kTfcbMagic, kTfcbMagic, sizeof kTfcbMagic) != 0) {
-    *error = tfcb_path + ": not a TFCB file (bad magic)";
-    return false;
-  }
-  off = sizeof kTfcbMagic;
-  uint32_t version = 0;
-  uint32_t series_count = 0;
-  uint64_t tick_count = 0;
-  uint64_t run_count = 0;
-  GetU32(data, off, &version);
-  GetU32(data, off, &series_count);
-  GetU64(data, off, &tick_count);
-  if (version != kTfcbVersion) {
-    *error = tfcb_path + ": unsupported TFCB version " + std::to_string(version);
-    return false;
-  }
-  if (!GetU64(data, off, &run_count)) {
-    *error = tfcb_path + ": truncated header";
-    return false;
-  }
-
-  // Name table; a name's position is its series_id. Pre-quote once so the
-  // body loop only concatenates.
-  std::vector<std::string> quoted_names;
-  quoted_names.reserve(std::min<size_t>(series_count, data.size() / 4));
-  for (uint32_t i = 0; i < series_count; ++i) {
-    uint32_t len = 0;
-    if (!GetU32(data, off, &len) || off + len > data.size()) {
-      *error = tfcb_path + ": truncated name table";
-      return false;
-    }
-    quoted_names.push_back(Quoted(data.substr(off, len)));
-    off += len;
-  }
-
-  JsonlWriter out(jsonl_path);
-  if (!out.is_open()) {
-    *error = "cannot open " + jsonl_path;
-    return false;
-  }
-  const bool decoded =
-      DecodeTfcbBody(data, off, tick_count, run_count, quoted_names, tfcb_path, out, error);
-  if (!out.Close() && decoded) {
-    *error = "write failed: " + jsonl_path;
-    return false;
-  }
-  return decoded;
-}
-
-// ---------------------------------------------------------------------------
 // RunManifest
 // ---------------------------------------------------------------------------
 
@@ -837,6 +588,20 @@ bool WriteManifest(const std::string& path, const RunManifest& manifest,
     return false;
   }
   return true;
+}
+
+// Fixed little-endian packing, independent of host byte order.
+void PutU32(std::vector<unsigned char>& buf, uint32_t v) {
+  buf.push_back(static_cast<unsigned char>(v));
+  buf.push_back(static_cast<unsigned char>(v >> 8));
+  buf.push_back(static_cast<unsigned char>(v >> 16));
+  buf.push_back(static_cast<unsigned char>(v >> 24));
+}
+
+void PutU64(std::vector<unsigned char>& buf, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    buf.push_back(static_cast<unsigned char>(v >> (8 * i)));
+  }
 }
 
 bool WriteMetricsTfcb(const std::string& path, const TimeSeriesRecorder* recorder,

@@ -32,12 +32,9 @@
 //   Run exporter     writes a per-run directory: manifest.json (what ran),
 //                    metrics.tfcb (the recorded series as value runs,
 //                    binary spill format), summary.json (final snapshot
-//                    of every metric + profiler sites).
-//                    ConvertMetricsTfcbToJsonl (exposed as
-//                    `tfcsim --convert`) renders the spill back to the
-//                    PR-3 metrics.jsonl byte-compatibly. Formats are
+//                    of every metric + profiler sites). Formats are
 //                    documented in docs/observability.md and validated by
-//                    tools/telemetry_schema.py in CI.
+//                    tools/telemetry_schema.py, the spill's one reader.
 //
 // The registry lives on the Network (Network::metrics()) next to the audit
 // registry; components self-register their gauges at construction and
@@ -198,13 +195,8 @@ class MetricRegistry {
   Histogram* AddHistogram(std::string name);
 
   // Removes a metric (no-op if absent). Components that can die before the
-  // registry (flows, replaced agents) unregister via ScopedMetrics.
+  // registry (flows, agents) unregister via ScopedMetrics.
   void Unregister(const std::string& name);
-
-  // Removes a metric only if it is still owned by `token` (see
-  // ScopedMetrics): after a replace-on-collision, the displaced owner's
-  // cleanup must not take the new owner's entry with it.
-  void UnregisterOwned(const std::string& name, uint64_t token);
 
   bool Has(const std::string& name) const { return entries_.count(name) > 0; }
   size_t size() const { return entries_.size(); }
@@ -293,22 +285,18 @@ class MetricRegistry {
     GaugeFn fn;                // kCallbackGauge
     Histogram* hist = nullptr;  // kHistogram (owned; ~8 KB, heap-allocated)
     uint64_t last_audited = 0;  // monotonicity watermark for counters
-    uint64_t owner = 0;         // ScopedMetrics token; 0 = direct registration
     MetricId id = kInvalidMetricId;  // dense slot in by_id_
     ~Entry();
     Entry() : kind(MetricKind::kCounter) {}
     Entry(Entry&&) = delete;
   };
 
-  // `replace` re-claims an existing name (dropping the previous entry)
-  // instead of aborting; only ScopedMetrics exposes it.
-  Entry& Insert(std::string name, MetricKind kind, uint64_t owner, bool replace);
+  // Adds a fresh entry; a taken name aborts (TFC_CHECK).
+  Entry& Insert(std::string name, MetricKind kind);
 
   // Id bookkeeping: both bump generation_ so cached plans re-resolve.
   void AssignId(Entry& e);
   void ReleaseId(Entry& e);
-
-  uint64_t NewOwnerToken() { return next_owner_token_++; }
 
   // std::map: stable node addresses (metric pointers survive unrelated
   // inserts/erases) and deterministic name-ordered iteration for exports.
@@ -318,13 +306,14 @@ class MetricRegistry {
   std::vector<Entry*> by_id_;
   std::vector<MetricId> free_ids_;
   uint64_t generation_ = 1;  // starts above the recorder's "no plan" zero
-  uint64_t next_owner_token_ = 1;
 };
 
 // RAII bundle of registrations: everything added through this object is
 // unregistered when it is destroyed, so a component destroyed mid-run
 // cannot leave a dangling callback gauge behind (same contract as
-// ScopedAudit). Default-constructed inert; Reset() binds a registry.
+// ScopedAudit). Default-constructed inert; Reset() binds a registry. Names
+// collide exactly as with direct registration: a second live owner of a
+// name aborts.
 class ScopedMetrics {
  public:
   ScopedMetrics() = default;
@@ -337,15 +326,7 @@ class ScopedMetrics {
   void Reset(MetricRegistry* registry) {
     Clear();
     registry_ = registry;
-    token_ = registry_ != nullptr ? registry_->NewOwnerToken() : 0;
   }
-
-  // When set, a name collision re-claims the existing metric instead of
-  // aborting. For components that can be legitimately rebuilt for the same
-  // resource (a port's protocol agent replaced mid-test): the new instance
-  // takes over the names, and the displaced instance's destructor cannot
-  // remove them (ownership-token mismatch).
-  void set_replace_on_collision(bool v) { replace_ = v; }
 
   Counter* AddCounter(std::string name);
   Gauge* AddGauge(std::string name);
@@ -359,8 +340,6 @@ class ScopedMetrics {
   void Clear();
 
   MetricRegistry* registry_ = nullptr;
-  uint64_t token_ = 0;
-  bool replace_ = false;
   std::vector<std::string> names_;
 };
 
@@ -520,20 +499,8 @@ class Profiler;
 //            u32 ticks, f64 v}: `ticks` consecutive samples of value v at
 //            tick times [first_tick, first_tick + ticks); grouped by
 //            series in name-table order, oldest first
-//
-// The converter expands runs into the legacy metrics.jsonl byte-compatibly
-// (same shortest-round-trip number formatting as the old exporter).
 inline constexpr char kTfcbMagic[4] = {'T', 'F', 'C', 'B'};
 inline constexpr uint32_t kTfcbVersion = 2;
-inline constexpr size_t kTfcbRunBytes = 4 + 4 + 4 + 8;
-
-// Offline converter: decodes `tfcb_path` and writes the legacy JSONL
-// (`{"t_ns": ..., "name": ..., "v": ...}` per line) to `jsonl_path`,
-// byte-compatible with the pre-binary exporter. Returns false and fills
-// *error on decode or I/O failure. Exposed via `tfcsim --convert=RUN_DIR`.
-bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
-                               const std::string& jsonl_path,
-                               std::string* error);
 
 // Ordered key/value description of what ran (workload, protocol, topology,
 // seeds, flags). Values keep their JSON type; the exporter adds
@@ -561,7 +528,7 @@ const std::string& GitDescribe();
 // Writes the per-run directory (created if needed):
 //   dir/manifest.json   schema_version, git describe, timestamps, manifest
 //   dir/metrics.tfcb    binary series spill (header-only when recorder is
-//                       null); convert to JSONL with tfcsim --convert
+//                       null)
 //   dir/summary.json    final value of every registry metric, histogram
 //                       percentiles, and profiler sites (profiler may be null)
 // Returns false and fills *error on filesystem failure. Formats are stable

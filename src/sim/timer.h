@@ -89,7 +89,7 @@ class PeriodicTimer {
 
   void Stop() {
     running_ = false;
-    scheduler_->CancelDaemon(id_);  // fired/invalid ids are safe no-ops
+    scheduler_->Cancel(id_);  // fired/invalid ids are safe no-ops
     id_ = {};
   }
 

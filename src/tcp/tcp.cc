@@ -4,10 +4,16 @@
 
 namespace tfc {
 
+namespace {
+
+// Initial window in segments (the Linux 2.6.38-era IW).
+constexpr double kInitialCwndSegments = 3.0;
+
+}  // namespace
+
 TcpSender::TcpSender(Network* network, Host* local, Host* remote, const TcpConfig& config)
     : ReliableSender(network, local, remote, config.transport),
-      config_(config),
-      cwnd_(config.initial_cwnd_segments * mss()),
+      cwnd_(kInitialCwndSegments * mss()),
       ssthresh_(static_cast<double>(config.transport.receive_window)) {
   InitializeReceiver();
   metrics_.AddCallbackGauge(metric_prefix() + ".cwnd_bytes", [this] { return cwnd_; });

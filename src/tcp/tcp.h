@@ -13,8 +13,6 @@ namespace tfc {
 
 struct TcpConfig {
   TransportConfig transport;
-  double initial_cwnd_segments = 3.0;  // Linux 2.6.38-era IW
-  double min_cwnd_segments = 1.0;
 };
 
 class TcpSender : public ReliableSender {
@@ -36,12 +34,12 @@ class TcpSender : public ReliableSender {
   // Additive/multiplicative pieces exposed so DCTCP can reuse them.
   void GrowWindow(Bytes newly_acked);
   double mss() const { return static_cast<double>(transport_config().mss); }
-  double min_cwnd() const { return config_.min_cwnd_segments * mss(); }
+  // Floor every window cut respects: one segment.
+  double min_cwnd() const { return mss(); }
   void set_cwnd(double cwnd) { cwnd_ = std::max(cwnd, min_cwnd()); }
   void set_ssthresh(double v) { ssthresh_ = v; }
 
  private:
-  TcpConfig config_;
   double cwnd_;
   double ssthresh_;
 };

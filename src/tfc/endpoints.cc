@@ -7,6 +7,24 @@
 
 namespace tfc {
 
+namespace {
+
+// After this much idle time a resuming flow re-runs the window-acquisition
+// probe (TfcHostConfig::resume_probe).
+constexpr TimeNs kResumeIdleThreshold = Microseconds(300);
+
+// Window-acquisition probe retry (robustness to probe/RMA loss). The paper
+// assumes the probe's RMA always returns; with real loss a lost probe or
+// RMA would otherwise wedge the sender in awaiting_probe_rma_ until the
+// 200 ms RTO. Instead the sender retries the probe with capped exponential
+// backoff: delay = min(base * 2^attempt, cap), each delay stretched by
+// Uniform[0, jitter) to de-synchronize retry storms.
+constexpr TimeNs kProbeRetryBase = Milliseconds(2);
+constexpr TimeNs kProbeRetryCap = Milliseconds(100);
+constexpr double kProbeRetryJitter = 0.25;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Receiver
 // ---------------------------------------------------------------------------
@@ -46,9 +64,7 @@ TfcSender::TfcSender(Network* network, Host* local, Host* remote, const TfcHostC
 
 std::unique_ptr<ReliableReceiver> TfcSender::MakeReceiver() {
   return std::make_unique<TfcReceiver>(network(), remote(), flow_id(),
-                                       transport_config().receive_window,
-                                       transport_config().ack_every,
-                                       transport_config().delayed_ack_timeout);
+                                       transport_config().receive_window);
 }
 
 Bytes TfcSender::FrameBytesInFlight(Bytes inflight_payload) const {
@@ -91,18 +107,13 @@ void TfcSender::ArmProbeRetry() {
   // A lost probe (or its RMA) must not wedge the acquisition phase until the
   // RTO safety net: retry on a capped exponential backoff, jittered so that
   // senders whose probes died together do not retry in lockstep.
-  if (config_.probe_retry_base <= 0) {
-    return;  // disabled: RTO-only recovery
-  }
-  TimeNs delay = config_.probe_retry_base;
-  for (int i = 0; i < probe_attempts_ && delay < config_.probe_retry_cap; ++i) {
+  TimeNs delay = kProbeRetryBase;
+  for (int i = 0; i < probe_attempts_ && delay < kProbeRetryCap; ++i) {
     delay *= 2;
   }
-  delay = std::min(delay, config_.probe_retry_cap);
-  if (config_.probe_retry_jitter > 0) {
-    delay += static_cast<TimeNs>(static_cast<double>(delay) * config_.probe_retry_jitter *
-                                 network()->rng().Uniform());
-  }
+  delay = std::min(delay, kProbeRetryCap);
+  delay += static_cast<TimeNs>(static_cast<double>(delay) * kProbeRetryJitter *
+                               network()->rng().Uniform());
   probe_timer_.RestartAfter(delay);
 }
 
@@ -131,7 +142,7 @@ void TfcSender::OnEstablished() {
 void TfcSender::OnWrite() {
   const TimeNs now = network()->scheduler().now();
   if (config_.resume_probe && state() == State::kEstablished && inflight_bytes() == 0 &&
-      have_window_ && now - last_activity_ > config_.resume_idle_threshold) {
+      have_window_ && now - last_activity_ > kResumeIdleThreshold) {
     // Resuming after a long silence: the cached window is stale (other flows
     // have absorbed the bandwidth), so re-acquire before bursting.
     have_window_ = false;

@@ -8,6 +8,23 @@
 
 namespace tfc {
 
+namespace {
+
+// Floor on the measured utilization ρ, so the Eq. 7 boost T·ρ0/ρ cannot
+// diverge during a near-idle slot.
+constexpr double kRhoFloor = 0.05;
+// Cap on the token value, as a multiple of c·rtt_b (one BDP). Bounds the
+// work-conserving boost while still allowing multi-bottleneck recovery.
+constexpr double kTokenBoostCap = 4.0;
+// Re-elect the delimiter after 2^k·rtt_last of silence, k <= this
+// (Sec. 5.2: maximum k is 7).
+constexpr int kMaxMissExponent = 7;
+// Arbiter counter cap, in quanta, bounding the burst of simultaneously
+// released sub-MSS flows.
+constexpr double kCounterCapQuanta = 2.0;
+
+}  // namespace
+
 TfcPortAgent::TfcPortAgent(Switch* owner, Port* port, const TfcSwitchConfig& config)
     : switch_(owner),
       port_(port),
@@ -17,11 +34,10 @@ TfcPortAgent::TfcPortAgent(Switch* owner, Port* port, const TfcSwitchConfig& con
       rttb_(config.initial_rttb),
       failover_timer_(scheduler_, [this] { OnFailoverTimer(); }),
       token_(bdp()),
-      counter_(config.counter_cap_quanta *
-               Tokens::FromBytes(config.delay_quantum)),
+      counter_(kCounterCapQuanta * Tokens::FromBytes(config.delay_quantum)),
       release_timer_(scheduler_, [this] { ReleaseParkedAcks(); }),
       counter_initial_(counter_),
-      token_bound_hi_(config.token_boost_cap * bdp()),
+      token_bound_hi_(kTokenBoostCap * bdp()),
       metrics_(&owner->network()->metrics()),
       audit_registration_(&owner->network()->audit(),
                           "tfc.port:" + owner->name() + "." +
@@ -31,13 +47,11 @@ TfcPortAgent::TfcPortAgent(Switch* owner, Port* port, const TfcSwitchConfig& con
   TFC_CHECK_MSG(config.rho0 > 0.0 && config.rho0 <= 1.0, "rho0=" << config.rho0);
   TFC_CHECK_MSG(config.history_weight >= 0.0 && config.history_weight < 1.0,
                 "history_weight=" << config.history_weight);
+  TFC_CHECK_GT(config.delay_park_timeout, 0);
   // The control-path signals behind the paper's Figs. 6-8, exposed as
   // pull gauges (sampled by the telemetry recorder, free otherwise).
   release_site_ = owner->network()->profiler().Site("tfc.release_parked");
   failover_site_ = owner->network()->profiler().Site("tfc.failover");
-  // An agent built for a port that already has one (tests wrap or replace
-  // the installed agent) takes over the port's metric names.
-  metrics_.set_replace_on_collision(true);
   const std::string prefix =
       "tfc." + owner->name() + ".p" + std::to_string(port->index());
   metrics_.AddCallbackGauge(prefix + ".token_bytes", [this] { return token_.value(); });
@@ -213,16 +227,16 @@ void TfcPortAgent::EndSlot(const Packet& pkt) {
   // enters the token dimension through the explicit FromBytes boundary.
   const Tokens capacity = link_rate_ * rtt_m;
   Ratio rho = Tokens::FromBytes(slot_bytes) / capacity;
-  rho = std::max<double>(rho, config_.rho_floor);
+  rho = std::max<double>(rho, kRhoFloor);
 
   // Token adjustment (Eq. 7) with engineering clamps, then EWMA (Eq. 8).
   // The upper clamp is floored at one quantum: after a delimiter handover
-  // re-seeds rtt_b from an anomalously short slot, token_boost_cap * bdp can
+  // re-seeds rtt_b from an anomalously short slot, kTokenBoostCap * bdp can
   // drop below one frame, which would invert the clamp bounds (UB) and
   // allocate less than the arbiter's release unit.
   const Tokens bdp_now = bdp();
   const Tokens quantum = Tokens::FromBytes(config_.delay_quantum);
-  const Tokens bound_hi = std::max(config_.token_boost_cap * bdp_now, quantum);
+  const Tokens bound_hi = std::max(kTokenBoostCap * bdp_now, quantum);
   Tokens target = config_.enable_token_adjustment
                       ? Tokens(bdp_now.value() * config_.rho0 / rho.value())
                       : bdp_now;
@@ -289,7 +303,7 @@ void TfcPortAgent::ArmFailover() {
                                  static_cast<double>(config_.delay_quantum.count()) /
                                  (config_.rho0 * link_rate_.bytes_per_ns())));
   }
-  const int k = std::min(miss_k_, config_.max_miss_exponent);
+  const int k = std::min(miss_k_, kMaxMissExponent);
   failover_timer_.RestartAfter(base * (int64_t{1} << (k + 1)));
 }
 
@@ -307,7 +321,7 @@ void TfcPortAgent::OnFailoverTimer() {
     e.a = miss_k_;
     net->EmitFlight(e);
   }
-  if (miss_k_ <= config_.max_miss_exponent) {
+  if (miss_k_ <= kMaxMissExponent) {
     ArmFailover();
   }
 }
@@ -338,7 +352,7 @@ void TfcPortAgent::RefillCounter() {
       net->EmitFlight(e);
     }
   }
-  const Tokens cap = config_.counter_cap_quanta * Tokens::FromBytes(config_.delay_quantum);
+  const Tokens cap = kCounterCapQuanta * Tokens::FromBytes(config_.delay_quantum);
   if (counter_ > cap) {
     overflow_total_ += counter_ - cap;
     counter_ = cap;
@@ -361,7 +375,7 @@ bool TfcPortAgent::OnReverse(PacketPtr& pkt) {
     // windows cannot starve small flows indefinitely.
     counter_ -= w;
     debited_total_ += w;
-    const Tokens floor = -config_.token_boost_cap * bdp();
+    const Tokens floor = -kTokenBoostCap * bdp();
     counter_floor_lo_ = std::min(counter_floor_lo_, floor);
     if (counter_ < floor) {
       forgiven_total_ += floor - counter_;
@@ -426,10 +440,7 @@ void TfcPortAgent::ScheduleRelease() {
   // Never sleep past the park timeout: the release pass is also the expiry
   // pass, so a deeply indebted counter (full-window debt floor) must not
   // delay aging out undeliverable grants.
-  if (config_.delay_park_timeout > 0 && wait > config_.delay_park_timeout) {
-    wait = config_.delay_park_timeout;
-  }
-  release_timer_.RestartAfter(wait);
+  release_timer_.RestartAfter(std::min(wait, config_.delay_park_timeout));
 }
 
 void TfcPortAgent::DropParkedAck(PacketPtr pkt) {
@@ -450,9 +461,6 @@ void TfcPortAgent::DropParkedAck(PacketPtr pkt) {
 }
 
 void TfcPortAgent::ExpireAgedParkedAcks(TimeNs now) {
-  if (config_.delay_park_timeout <= 0) {
-    return;
-  }
   // Parking order is arrival order, so aged-out entries sit at the front.
   while (!delay_queue_.empty() &&
          now - delay_queue_.front().parked_at >= config_.delay_park_timeout) {
@@ -540,7 +548,7 @@ void TfcPortAgent::WipeState(std::deque<PacketPtr>* lost) {
   // Arbiter counter and its conservation ledger restart from zero history.
   // counter_refill_time_ must move to now, or the first post-reboot refill
   // would credit the entire pre-reboot interval.
-  counter_ = config_.counter_cap_quanta * Tokens::FromBytes(config_.delay_quantum);
+  counter_ = kCounterCapQuanta * Tokens::FromBytes(config_.delay_quantum);
   counter_initial_ = counter_;
   counter_refill_time_ = scheduler_->now();
   refilled_total_ = Tokens(0.0);
@@ -551,7 +559,7 @@ void TfcPortAgent::WipeState(std::deque<PacketPtr>* lost) {
   granted_mss_ = Tokens(0.0);
 
   last_rho_ = 0.0;
-  token_bound_hi_ = std::max(config_.token_boost_cap * bdp(),
+  token_bound_hi_ = std::max(kTokenBoostCap * bdp(),
                              Tokens::FromBytes(config_.delay_quantum));
 
   // slots_completed_ / delayed_acks_ / failover counts are simulation-side
@@ -572,7 +580,7 @@ void TfcPortAgent::WipeState(std::deque<PacketPtr>* lost) {
 
 void TfcPortAgent::AuditInvariants(Auditor& audit) const {
   const double quantum = static_cast<double>(config_.delay_quantum.count());
-  const double cap = config_.counter_cap_quanta * quantum;
+  const double cap = kCounterCapQuanta * quantum;
 
   // Token conservation (Sec. 4.6): the arbiter counter must equal its
   // byte-exact ledger — initial credit plus refills, minus cap overflow and
@@ -607,7 +615,7 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
   if (have_window_) {
     audit.CheckLe(token_.value(), token_bound_hi_.value() * (1.0 + 1e-9), "token<=boost cap");
     audit.CheckGe(token_.value(), quantum * (1.0 - 1e-9), "token>=one quantum");
-    audit.CheckGe(last_rho_.value(), config_.rho_floor, "rho>=floor");
+    audit.CheckGe(last_rho_.value(), kRhoFloor, "rho>=floor");
     audit.CheckLe(window_.value(), token_.value() * (1.0 + 1e-9), "window<=token");
   }
   audit.CheckGe(E_, 1, "effective flows>=1");
@@ -618,9 +626,9 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
 
   // Delay arbiter queue: bounded, and every parked packet is a live sub-MSS
   // RMA ack (a poisoned uid here is a use-after-free of a pooled packet).
-  // With expiry enabled no entry may outlive two park timeouts: the release
-  // timer fires within one timeout of any park and each firing expires every
-  // aged-out entry (they are contiguous at the front, FIFO order).
+  // No entry may outlive two park timeouts: the release timer fires within
+  // one timeout of any park and each firing expires every aged-out entry
+  // (they are contiguous at the front, FIFO order).
   audit.CheckLe(delay_queue_.size(), config_.delay_queue_limit, "parked<=limit");
   const TimeNs now = scheduler_->now();
   for (const ParkedAck& parked : delay_queue_) {
@@ -629,10 +637,8 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
     audit.Check(p->is_ack() && p->rma, "parked packet is an RMA ack");
     audit.Check(static_cast<double>(p->window) < quantum, "parked window<quantum");
     audit.CheckLe(parked.parked_at, now, "parked in the past");
-    if (config_.delay_park_timeout > 0) {
-      audit.CheckLe(now - parked.parked_at, 2 * config_.delay_park_timeout,
-                    "parked age<=2x park timeout");
-    }
+    audit.CheckLe(now - parked.parked_at, 2 * config_.delay_park_timeout,
+                  "parked age<=2x park timeout");
   }
   // A non-empty park queue must have a release scheduled, or it would
   // starve (ScheduleRelease runs after every park and every drain).

@@ -7,6 +7,19 @@
 
 namespace tfc {
 
+namespace {
+
+// RTO bounds (RFC 6298). The 200 ms minimum is the Linux default, which DC
+// deployments tune down; every protocol here keeps it, TFC because it
+// reacts through switch feedback and uses the RTO only as a safety net.
+constexpr TimeNs kRtoMin = Milliseconds(200);
+constexpr TimeNs kRtoMax = Seconds(60);
+constexpr TimeNs kRtoInitial = Milliseconds(200);
+// Duplicate ACKs that trigger fast retransmit (RFC 5681).
+constexpr uint32_t kDupAckThreshold = 3;
+
+}  // namespace
+
 ReliableSender::ReliableSender(Network* network, Host* local, Host* remote,
                                const TransportConfig& config)
     : network_(network),
@@ -14,7 +27,7 @@ ReliableSender::ReliableSender(Network* network, Host* local, Host* remote,
       remote_(remote),
       config_(config),
       flow_id_(network->AllocateFlowId()),
-      rto_(config.rto_initial),
+      rto_(kRtoInitial),
       rto_timer_(&network->scheduler(), [this] { HandleTimeout(); }) {
   TFC_CHECK_NE(local_, remote_);
   local_->RegisterEndpoint(flow_id_, this);
@@ -46,8 +59,7 @@ void ReliableSender::InitializeReceiver() {
 
 std::unique_ptr<ReliableReceiver> ReliableSender::MakeReceiver() {
   return std::make_unique<ReliableReceiver>(network_, remote_, flow_id_,
-                                            config_.receive_window, config_.ack_every,
-                                            config_.delayed_ack_timeout);
+                                            config_.receive_window);
 }
 
 void ReliableSender::Start() {
@@ -184,7 +196,7 @@ void ReliableSender::SampleRtt(TimeNs sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.rto_min, config_.rto_max);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kRtoMin, kRtoMax);
 }
 
 void ReliableSender::HandleAck(PacketPtr pkt) {
@@ -266,7 +278,7 @@ void ReliableSender::HandleAck(PacketPtr pkt) {
   // Potential duplicate ACK (no forward progress while data is in flight).
   if (inflight_bytes() > 0 && pkt->ack == snd_una_) {
     ++dupacks_;
-    if (!in_recovery_ && dupacks_ >= config_.dupack_threshold) {
+    if (!in_recovery_ && dupacks_ >= kDupAckThreshold) {
       in_recovery_ = true;
       recover_ = snd_next_;
       OnEnterRecovery(inflight_bytes());
@@ -278,7 +290,7 @@ void ReliableSender::HandleAck(PacketPtr pkt) {
   }
 }
 
-void ReliableSender::BackOffRto() { rto_ = std::min(rto_ * 2, config_.rto_max); }
+void ReliableSender::BackOffRto() { rto_ = std::min(rto_ * 2, kRtoMax); }
 
 void ReliableSender::HandleTimeout() {
   ProfileScope prof(&network_->profiler(), rto_site_);

@@ -39,20 +39,8 @@ namespace tfc {
 class Network;
 
 struct TransportConfig {
-  uint32_t mss = kMssBytes;            // max payload per segment
-  TimeNs rto_min = Milliseconds(200);  // Linux default; DC deployments tune this
-  TimeNs rto_max = Seconds(60);
-  TimeNs rto_initial = Milliseconds(200);
-  uint32_t dupack_threshold = 3;
-  Bytes receive_window = 4 * 1024 * 1024;     // advertised window (payload bytes)
-
-  // Delayed ACKs: acknowledge every Nth in-order data packet, flushing
-  // after `delayed_ack_timeout` if no further data arrives. 1 = per-packet
-  // ACKs (the default; what this repo's experiments use). Control packets,
-  // out-of-order arrivals, CE-marked and round-marked packets are always
-  // acknowledged immediately so loss recovery, DCTCP, and TFC stay exact.
-  uint32_t ack_every = 1;
-  TimeNs delayed_ack_timeout = Microseconds(200);
+  uint32_t mss = kMssBytes;                // max payload per segment
+  Bytes receive_window = 4 * 1024 * 1024;  // advertised window (payload bytes)
 };
 
 class ReliableSender : public Endpoint {

@@ -191,6 +191,26 @@ TEST(PeriodicTimerTest, DestructorCancelsPendingTick) {
   EXPECT_EQ(sched.pending_total(), 0u);
 }
 
+// One Cancel for both kinds of event: cancelling a daemon keeps the daemon
+// count exact, so the user event beside it still counts and still runs.
+TEST(SchedulerTest, CancelOfDaemonEventKeepsCountsExact) {
+  Scheduler sched;
+  bool daemon_fired = false;
+  bool user_fired = false;
+  const Scheduler::EventId daemon = sched.ScheduleDaemonAfter(10, [&] { daemon_fired = true; });
+  sched.ScheduleAfter(20, [&] { user_fired = true; });
+  ASSERT_EQ(sched.daemon_pending(), 1u);
+  EXPECT_TRUE(sched.Cancel(daemon));
+  EXPECT_EQ(sched.daemon_pending(), 0u);
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_FALSE(sched.Cancel(daemon));  // already cancelled: no-op
+  sched.Run();
+  EXPECT_TRUE(user_fired);
+  EXPECT_FALSE(daemon_fired);
+  EXPECT_EQ(sched.now(), 20);
+  EXPECT_EQ(sched.pending_total(), 0u);
+}
+
 TEST(RngTest, DeterministicForFixedSeed) {
   Rng a(42);
   Rng b(42);

@@ -71,7 +71,6 @@ TEST(TcpTest, LossHalvesWindowViaFastRetransmit) {
   opts.switch_buffer_bytes = 64 * 1518;
   TwoToOne d(opts);
   TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
   TcpSender f1(&d.net, d.a1, d.b, cfg);
   TcpSender f2(&d.net, d.a2, d.b, cfg);
   f1.Write(80'000'000);
@@ -104,9 +103,7 @@ TEST(TcpTest, LongFlowsFillDropTailBuffer) {
 
 TEST(TcpTest, TimeoutCollapsesWindowToOneSegment) {
   Dumbbell d;
-  TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
-  TcpSender flow(&d.net, d.a, d.b, cfg);
+  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
   flow.Write(100'000);
   flow.Start();
   d.net.scheduler().RunUntil(Microseconds(200));  // connection established

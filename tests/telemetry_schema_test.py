@@ -2,7 +2,8 @@
 """Self-test for the metrics.tfcb decoding in tools/telemetry_schema.py.
 
 Every spill is built inline: a well-formed version 2 spill must validate,
-and each corrupt variant must be rejected with the matching message.
+and each corrupt variant (or a missing file) must be rejected with the
+matching message.
 
 Run: python3 tests/telemetry_schema_test.py
 """
@@ -38,10 +39,12 @@ GOOD_RUNS = [(0, 0, 2, 1.5), (0, 2, 1, 3.0), (1, 1, 2, 7.0)]
 
 class TfcbDecodeTest(unittest.TestCase):
     def check(self, data):
-        """Validates `data` as a spill; returns (sample count, errors)."""
+        """Validates `data` as a spill (None: no file); returns (sample
+        count, errors)."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "metrics.tfcb"
-            path.write_bytes(data)
+            if data is not None:
+                path.write_bytes(data)
             ck = schema.Checker()
             samples = schema.check_metrics_tfcb(path, ck)
         return samples, ck.errors
@@ -55,6 +58,19 @@ class TfcbDecodeTest(unittest.TestCase):
         samples, errors = self.check(spill(GOOD_RUNS))
         self.assertEqual(errors, [])
         self.assertEqual(samples, 5)  # summed run ticks
+
+    def test_missing_file_is_rejected(self):
+        self.assert_rejected(None, "missing")
+
+    def test_bad_magic_is_rejected(self):
+        self.assert_rejected(b"JUNK" + spill(GOOD_RUNS)[4:], "bad magic")
+
+    def test_zero_tick_run_is_rejected(self):
+        self.assert_rejected(spill([(0, 0, 0, 1.0)]), "covers zero ticks")
+
+    def test_run_past_tick_count_is_rejected(self):
+        self.assert_rejected(spill([(0, 2, 2, 1.0)]),
+                             "ends at tick 4, past tick_count 3")
 
     def test_version_1_header_is_rejected(self):
         self.assert_rejected(spill(GOOD_RUNS, version=1), "version must be 2, got 1")

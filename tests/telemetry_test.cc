@@ -7,13 +7,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/sim/audit.h"
@@ -79,6 +77,11 @@ TEST(MetricRegistryDeathTest, DuplicateNameAborts) {
   EXPECT_DEATH(registry.AddCounter("dup"), "duplicate metric name: dup");
   // Across kinds too: a gauge cannot shadow a counter.
   EXPECT_DEATH(registry.AddGauge("dup"), "duplicate metric name: dup");
+  // Scoped owners get no exception: a second live owner of a name aborts.
+  ScopedMetrics first(&registry);
+  first.AddGauge("owned");
+  ScopedMetrics second(&registry);
+  EXPECT_DEATH(second.AddGauge("owned"), "duplicate metric name: owned");
 }
 
 TEST(ScopedMetricsTest, UnregistersOnDestructionAndReset) {
@@ -94,31 +97,6 @@ TEST(ScopedMetricsTest, UnregistersOnDestructionAndReset) {
     EXPECT_EQ(registry.size(), 1u);
   }
   EXPECT_EQ(registry.size(), 0u);
-}
-
-TEST(ScopedMetricsTest, ReplaceOnCollisionHandsOverOwnership) {
-  MetricRegistry registry;
-  ScopedMetrics first(&registry);
-  Counter* c1 = first.AddCounter("shared");
-  c1->Add(5);
-
-  ScopedMetrics second(&registry);
-  second.set_replace_on_collision(true);
-  Counter* c2 = second.AddCounter("shared");
-  EXPECT_EQ(c2->value(), 0u);  // fresh metric, not the displaced one's 5
-  c2->Add(1);
-  double v = 0;
-  ASSERT_TRUE(registry.Read("shared", &v));
-  EXPECT_DOUBLE_EQ(v, 1.0);
-
-  // The displaced owner's cleanup must not remove the new owner's entry.
-  first.Reset(nullptr);
-  EXPECT_TRUE(registry.Has("shared"));
-  ASSERT_TRUE(registry.Read("shared", &v));
-  EXPECT_DOUBLE_EQ(v, 1.0);
-
-  second.Reset(nullptr);
-  EXPECT_FALSE(registry.Has("shared"));
 }
 
 TEST(MetricRegistryTest, IdIndexedReadsAndGenerationTracking) {
@@ -598,6 +576,13 @@ std::string Slurp(const std::string& path) {
   return ss.str();
 }
 
+// Little-endian byte packing for expected spills.
+void PutLe(std::string& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out += static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
 TEST(ExporterTest, JsonEscapeAndNumber) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
   EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
@@ -615,7 +600,7 @@ TEST(ExporterTest, JsonEscapeAndNumber) {
 TEST(ExporterTest, RunDirectoryGoldenRoundTrip) {
   Scheduler sched;
   MetricRegistry registry;
-  Profiler profiler(&registry);
+  Profiler profiler;
   registry.AddCounter("events")->Add(3);
   Gauge* q = registry.AddGauge("queue");
   Histogram* h = registry.AddHistogram("fct_us");
@@ -645,21 +630,25 @@ TEST(ExporterTest, RunDirectoryGoldenRoundTrip) {
                                 &error))
       << error;
 
-  // The binary spill decodes back to the exact bytes the pre-tfcb JSONL
-  // exporter produced: same line format, same number rendering.
-  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb",
-                                        dir + "/metrics.jsonl", &error))
-      << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.jsonl"),
-            "{\"t_ns\": 0, \"name\": \"queue\", \"v\": 0}\n"
-            "{\"t_ns\": 10000, \"name\": \"queue\", \"v\": 1500}\n");
-
-  // The spill itself: magic + version=2, one series, two tick times, and
-  // two runs (the value changed between the ticks).
-  const std::string tfcb = Slurp(dir + "/metrics.tfcb");
-  ASSERT_GE(tfcb.size(), 28u);
-  EXPECT_EQ(tfcb.substr(0, 4), "TFCB");
-  EXPECT_EQ(tfcb.size(), 28u + (4 + 5) + 2 * 8 + 2 * kTfcbRunBytes);
+  // The spill, byte for byte: header (magic, version 2, one series, two
+  // ticks, two runs), the name table, the tick times, then one run per
+  // value (the queue changed between the ticks).
+  std::string want = "TFCB";
+  PutLe(want, 2, 4);
+  PutLe(want, 1, 4);
+  PutLe(want, 2, 8);
+  PutLe(want, 2, 8);
+  PutLe(want, 5, 4);
+  want += "queue";
+  PutLe(want, 0, 8);
+  PutLe(want, 10000, 8);
+  for (const auto& [first_tick, v] : {std::pair{0u, 0.0}, std::pair{1u, 1500.0}}) {
+    PutLe(want, 0, 4);  // series id
+    PutLe(want, first_tick, 4);
+    PutLe(want, 1, 4);  // ticks
+    PutLe(want, std::bit_cast<uint64_t>(v), 8);
+  }
+  EXPECT_EQ(Slurp(dir + "/metrics.tfcb"), want);
 
   // The manifest carries the verbatim run section (with escaping) plus the
   // exporter's own provenance keys.
@@ -684,7 +673,7 @@ TEST(ExporterTest, RunDirectoryGoldenRoundTrip) {
             std::string::npos);
 }
 
-TEST(ExporterTest, NullRecorderWritesHeaderOnlySpillThatConvertsToEmptyJsonl) {
+TEST(ExporterTest, NullRecorderWritesHeaderOnlySpill) {
   MetricRegistry registry;
   RunManifest manifest;
   const std::string dir = testing::TempDir() + "/telemetry_empty";
@@ -692,118 +681,13 @@ TEST(ExporterTest, NullRecorderWritesHeaderOnlySpillThatConvertsToEmptyJsonl) {
   ASSERT_TRUE(WriteRunDirectory(dir, manifest, registry, nullptr, nullptr,
                                 &error))
       << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.tfcb").size(), 28u);  // header, no payload
-  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb",
-                                        dir + "/metrics.jsonl", &error))
-      << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.jsonl"), "");
-}
-
-TEST(ExporterTest, ConverterRejectsMissingAndCorruptSpills) {
-  const std::string dir = testing::TempDir() + "/telemetry_corrupt";
-  std::string error;
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/nope.tfcb",
-                                         dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("cannot open"), std::string::npos);
-
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream f(dir + "/bad.tfcb", std::ios::binary);
-    f << "JUNKJUNKJUNKJUNKJUNK";  // 20 bytes, wrong magic
-  }
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/bad.tfcb",
-                                         dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("bad magic"), std::string::npos);
-
-  {
-    // Valid magic/version but the header promises a tick and a run that
-    // are not there: 1 series, 1 tick, 1 run, then an empty body.
-    std::ofstream f(dir + "/short.tfcb", std::ios::binary);
-    const unsigned char header[] = {'T', 'F', 'C', 'B', 2, 0, 0, 0, 1, 0,
-                                    0,   0,   1,   0,   0, 0, 0, 0, 0, 0,
-                                    1,   0,   0,   0,   0, 0, 0, 0};
-    f.write(reinterpret_cast<const char*>(header), sizeof header);
-    f << "\x01" << std::string(3, '\0') << "q";  // name table: "q"
-  }
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/short.tfcb",
-                                         dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("header promises"), std::string::npos);
-}
-
-// Little-endian byte packing for hand-built spills.
-void PutLe(std::string& out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out += static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-// A version 2 spill of one series "q" over two ticks (t=0, t=10000),
-// followed by `runs`, each {series_id, first_tick, ticks, v}.
-std::string TfcbV2(const std::vector<std::tuple<uint32_t, uint32_t, uint32_t, double>>& runs) {
-  std::string d = "TFCB";
-  PutLe(d, 2, 4);            // version
-  PutLe(d, 1, 4);            // series_count
-  PutLe(d, 2, 8);            // tick_count
-  PutLe(d, runs.size(), 8);  // run_count
-  PutLe(d, 1, 4);
-  d += "q";
-  PutLe(d, 0, 8);
-  PutLe(d, 10000, 8);
-  for (const auto& [sid, first, ticks, v] : runs) {
-    PutLe(d, sid, 4);
-    PutLe(d, first, 4);
-    PutLe(d, ticks, 4);
-    PutLe(d, std::bit_cast<uint64_t>(v), 8);
-  }
-  return d;
-}
-
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(ExporterTest, ConverterExpandsVersion2RunsAndRejectsCorruptOnes) {
-  const std::string dir = testing::TempDir() + "/telemetry_v2";
-  std::filesystem::create_directories(dir);
-  const std::string in = dir + "/metrics.tfcb";
-  const std::string out = dir + "/metrics.jsonl";
-  std::string error;
-
-  WriteBytes(in, TfcbV2({{0, 0, 2, 4.5}}));
-  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(in, out, &error)) << error;
-  EXPECT_EQ(Slurp(out),
-            "{\"t_ns\": 0, \"name\": \"q\", \"v\": 4.5}\n"
-            "{\"t_ns\": 10000, \"name\": \"q\", \"v\": 4.5}\n");
-
-  const struct {
-    std::vector<std::tuple<uint32_t, uint32_t, uint32_t, double>> runs;
-    const char* want;
-  } bad[] = {
-      {{{0, 1, 2, 1.0}}, "past tick_count"},
-      {{{1, 0, 1, 1.0}}, "out-of-range series"},
-      {{{0, 0, 0, 1.0}}, "zero ticks"},
-      {{{0, 1, 1, 1.0}, {0, 0, 1, 1.0}}, "out of order"},
-  };
-  for (const auto& c : bad) {
-    WriteBytes(in, TfcbV2(c.runs));
-    EXPECT_FALSE(ConvertMetricsTfcbToJsonl(in, out, &error)) << c.want;
-    EXPECT_NE(error.find(c.want), std::string::npos) << error;
-  }
-
-  // A body shorter than the header's tick and run counts promise.
-  std::string truncated = TfcbV2({{0, 0, 2, 1.0}});
-  truncated.pop_back();
-  WriteBytes(in, truncated);
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(in, out, &error));
-  EXPECT_NE(error.find("header promises"), std::string::npos) << error;
-
-  // Version 1 (one record per sample) is no longer read.
-  std::string v1 = TfcbV2({{0, 0, 2, 1.0}});
-  v1[4] = 1;
-  WriteBytes(in, v1);
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(in, out, &error));
-  EXPECT_NE(error.find("unsupported TFCB version 1"), std::string::npos) << error;
+  // Header only: no series, no ticks, no runs.
+  std::string want = "TFCB";
+  PutLe(want, 2, 4);
+  PutLe(want, 0, 4);
+  PutLe(want, 0, 8);
+  PutLe(want, 0, 8);
+  EXPECT_EQ(Slurp(dir + "/metrics.tfcb"), want);
 }
 
 TEST(ExporterTest, WriteFailureReportsError) {
@@ -817,9 +701,8 @@ TEST(ExporterTest, WriteFailureReportsError) {
 
 // --- Profiler ---------------------------------------------------------------
 
-TEST(ProfilerTest, SitesRegisterGaugesAndScopeCounts) {
-  MetricRegistry registry;
-  Profiler profiler(&registry);
+TEST(ProfilerTest, SitesCountScopes) {
+  Profiler profiler;
   ProfileSite* site = profiler.Site("x.y");
   EXPECT_EQ(profiler.Site("x.y"), site);  // get-or-create
   EXPECT_EQ(profiler.site_count(), 1u);
@@ -831,12 +714,6 @@ TEST(ProfilerTest, SitesRegisterGaugesAndScopeCounts) {
     ProfileScope scope(&profiler, site);
   }
   EXPECT_EQ(site->hits(), 2u);
-
-  double v = 0;
-  ASSERT_TRUE(registry.Read("profile.x.y.hits", &v));
-  EXPECT_DOUBLE_EQ(v, 2.0);
-  ASSERT_TRUE(registry.Read("profile.x.y.wall_ns", &v));
-  ASSERT_TRUE(registry.Read("profile.x.y.sim_ns", &v));
 
   // Disabled profiler (the default unless TFC_PROFILE is set): hits count,
   // wall clock is never read.

@@ -191,11 +191,10 @@ TEST(SynFinCountingTest, RetransmittedSynAccumulatesPermanentError) {
   Port* reverse = Network::FindPort(sw, a);
   const Bytes rlimit = reverse->buffer_limit();
   reverse->set_buffer_limit(10);  // SYNACK dropped
-  TfcHostConfig host;
-  host.transport.rto_min = Milliseconds(10);
-  PersistentFlow flow(std::make_unique<TfcSender>(&net, a, b, host));
+  PersistentFlow flow(std::make_unique<TfcSender>(&net, a, b, TfcHostConfig()));
   flow.Start();
-  net.scheduler().RunUntil(Milliseconds(100));  // SYN retransmitted >= once
+  net.scheduler().RunUntil(Milliseconds(100));  // SYNACK lost; the SYN goes again
+                                                // at the 200 ms initial RTO
   reverse->set_buffer_limit(rlimit);
   egress->set_buffer_limit(limit);
   net.scheduler().RunUntil(Milliseconds(300));

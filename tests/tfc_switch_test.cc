@@ -181,7 +181,7 @@ TEST_F(TfcPortFixture, TokenStaysBoundedUnderRepeatedIdleSlots) {
     Packet p = MakeData(7, kMssBytes, true);
     agent_->OnEgress(p);
   }
-  // Cap: token_boost_cap (4) * c * rtt_b. rtt_b has converged to 200 us.
+  // Cap: kTokenBoostCap (4) * c * rtt_b. rtt_b has converged to 200 us.
   const double bdp = 1e9 / 8.0 * 200e-6;
   EXPECT_LE(agent_->token_bytes(), 4.0 * bdp + 1.0);
   EXPECT_GT(agent_->token_bytes(), 0.0);
@@ -408,26 +408,6 @@ TEST_F(TfcPortFixture, AgedParkedAckExpiresInsteadOfWaitingOutDeepDebt) {
   ASSERT_TRUE(net_->metrics().Read("tfc.sw.p1.arbiter_expired", &value));
   EXPECT_EQ(value, 1.0);
   net_->set_tracer(nullptr);
-}
-
-TEST_F(TfcPortFixture, ZeroParkTimeoutDisablesExpiry) {
-  TfcSwitchConfig config;
-  config.delay_park_timeout = 0;
-  Build(config);
-  for (int i = 0; i < 2; ++i) {
-    PacketPtr ack = MakeRmaAck(5, 200);
-    ASSERT_TRUE(agent_->OnReverse(ack));
-  }
-  PacketPtr big = MakeRmaAck(5, 100'000);
-  ASSERT_TRUE(agent_->OnReverse(big));
-  PacketPtr parked = MakeRmaAck(6, 200);
-  ASSERT_FALSE(agent_->OnReverse(parked));
-
-  net_->scheduler().Run();
-  // With expiry disabled the grant waits out the debt and is released.
-  EXPECT_EQ(agent_->arbiter_expired(), 0u);
-  EXPECT_EQ(agent_->delay_queue_length(), 0u);
-  EXPECT_EQ(agent_->delayed_acks(), 1u);
 }
 
 TEST(TfcDelimiterFailoverTest, ForcedRmLossFailsOverWithinBackoffBound) {

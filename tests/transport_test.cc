@@ -149,9 +149,7 @@ TEST(TransportTest, RtoFiresWhenPathIsDead) {
   LinkOptions opts;
   opts.switch_buffer_bytes = 10;  // nothing fits: all data dropped at switch
   Dumbbell d(opts);
-  TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig(cfg));
+  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
   flow.Write(10'000);
   flow.Start();
   d.net.scheduler().RunUntil(Seconds(3.0));
@@ -194,9 +192,7 @@ TEST(TransportTest, SynRetransmittedWhenLost) {
   LinkOptions opts;
   opts.switch_buffer_bytes = 10;  // drops the SYN too
   Dumbbell d(opts);
-  TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
-  TcpSender flow(&d.net, d.a, d.b, cfg);
+  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
   flow.Start();
   d.net.scheduler().RunUntil(Milliseconds(700));
   EXPECT_EQ(flow.state(), ReliableSender::State::kSynSent);

@@ -19,16 +19,10 @@ Checks the files the exporter (src/sim/telemetry.cc) writes per run:
                   <= tick_count and name an in-range series; runs are
                   grouped by series in name-table order, and a series'
                   runs are ordered and do not overlap. Other versions
-                  are rejected.
-  metrics.jsonl   optional converter output (`tfcsim --convert=RUN_DIR`):
-                  one sample object {"t_ns", "name", "v"} per line; when
-                  present its line count is cross-checked against the
-                  spill's sample count (its summed run ticks).
+                  are rejected. This checker is the spill's only reader.
   summary.json    schema_version == 2 plus counters / gauges / histograms /
                   profile sections with the shapes documented in
                   docs/observability.md.
-
-At least one of metrics.tfcb / metrics.jsonl must exist.
 
 Flight-recorder artifacts (src/sim/flight.cc) are validated when present in
 a run directory, or standalone via `--flight DIR`:
@@ -138,6 +132,9 @@ def check_manifest(path: Path, ck: Checker) -> None:
 def check_metrics_tfcb(path: Path, ck: Checker) -> int:
     """Validates the binary spill; returns its sample count (or 0 on error)."""
     where = str(path)
+    if not path.exists():
+        ck.error(where, "missing")
+        return 0
     data = path.read_bytes()
     if len(data) < TFCB_PREFIX.size:
         ck.error(where, f"truncated header ({len(data)} bytes)")
@@ -204,44 +201,6 @@ def check_tfcb_body(body, names, tick_count, run_count, where, ck) -> int:
         prev_sid, prev_end = sid, first + ticks
         samples += ticks
     return samples
-
-
-def check_metrics_jsonl(path: Path, ck: Checker) -> int:
-    where = str(path)
-    if not path.exists():
-        ck.error(where, "missing")
-        return 0
-    last_t = {}  # series name -> last t_ns
-    lines = 0
-    with path.open() as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            lines += 1
-            loc = f"{where}:{lineno}"
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                ck.error(loc, f"invalid JSON: {e}")
-                continue
-            if not ck.expect(isinstance(obj, dict), loc, "sample must be an object"):
-                continue
-            ck.expect(set(obj.keys()) == {"t_ns", "name", "v"}, loc,
-                      f'sample keys must be exactly t_ns/name/v, got {sorted(obj.keys())}')
-            name = obj.get("name")
-            t_ns = obj.get("t_ns")
-            v = obj.get("v")
-            ck.expect(isinstance(name, str) and name, loc, "name must be a non-empty string")
-            ck.expect(v is None or is_number(v), loc, "v must be a number or null")
-            if not ck.expect(is_uint(t_ns), loc, "t_ns must be a non-negative integer"):
-                continue
-            if isinstance(name, str):
-                prev = last_t.get(name)
-                ck.expect(prev is None or t_ns >= prev, loc,
-                          f"t_ns went backwards for series {name!r}: {prev} -> {t_ns}")
-                last_t[name] = t_ns
-    return lines
 
 
 def check_flight_tfct(path: Path, ck: Checker) -> int:
@@ -422,21 +381,7 @@ def check_summary(path: Path, ck: Checker) -> None:
 
 def check_run_dir(run_dir: Path, ck: Checker) -> int:
     check_manifest(run_dir / "manifest.json", ck)
-    tfcb = run_dir / "metrics.tfcb"
-    jsonl = run_dir / "metrics.jsonl"
-    samples = 0
-    if not tfcb.exists() and not jsonl.exists():
-        ck.error(str(run_dir), "neither metrics.tfcb nor metrics.jsonl exists")
-    if tfcb.exists():
-        samples = check_metrics_tfcb(tfcb, ck)
-    if jsonl.exists():
-        jsonl_samples = check_metrics_jsonl(jsonl, ck)
-        if tfcb.exists():
-            ck.expect(jsonl_samples == samples, str(jsonl),
-                      f"{jsonl_samples} converted samples but the spill "
-                      f"holds {samples}")
-        else:
-            samples = jsonl_samples
+    samples = check_metrics_tfcb(run_dir / "metrics.tfcb", ck)
     check_summary(run_dir / "summary.json", ck)
     # Flight-recorder artifacts ride along when the run was armed.
     if (run_dir / "flight.tfct").exists():
