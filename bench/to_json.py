@@ -32,10 +32,11 @@ def convert(raw):
         if "items_per_second" in r:
             entry["items_per_sec"] = r["items_per_second"]
         entry["ns_per_op"] = r["real_time"] * _TIME_UNIT_NS[r.get("time_unit", "ns")]
-        # Carry user counters (pool stats, recorder samples/runs/series)
-        # through for the record.
+        # Carry user counters (pool stats, recorder samples/runs/series,
+        # scheduler sift levels) through for the record.
         for key, value in r.items():
-            if key.startswith("pool_") or key in ("samples", "runs", "series"):
+            if key.startswith("pool_") or key in ("samples", "runs", "series",
+                                                  "sift_levels_per_event"):
                 entry[key] = value
         out[name] = entry
     return out

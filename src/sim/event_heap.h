@@ -5,10 +5,14 @@
 // scheme. Retransmission timers are cancelled on nearly every ACK, so a
 // tombstone set grows with every RTT of every flow; here a cancel physically
 // removes the entry and the heap never holds more than the live event count.
+// The Scheduler composes two of these, one per time tier (near and far, see
+// scheduler.h); the heap itself knows nothing of tiers.
 //
 // Handles are (slab index, generation) pairs: firing or removing an event
 // bumps its slab record's generation, so a stale handle — including a
 // cancel of an already-fired event — is detected exactly and is a no-op.
+// Record indexes stay below 2^31, which leaves the index's top bit spare for
+// the Scheduler's tier tag.
 //
 // Layout notes, because this structure is the single hottest data path in
 // the simulator (sifting a 100k-event heap is memory-bound, so every byte
@@ -35,7 +39,8 @@
 //     default-initialized: value-initializing would memset the whole
 //     chunk's callable storage on every capacity step.
 // The 4-ary fanout halves tree depth vs binary and, with the alignment
-// above, costs one cache line per level.
+// above, costs one cache line per level. sift_levels() counts the levels
+// walked, a deterministic work counter that does not drift with the host.
 
 #ifndef SRC_SIM_EVENT_HEAP_H_
 #define SRC_SIM_EVENT_HEAP_H_
@@ -82,6 +87,10 @@ class EventHeap {
 
   // Key of the earliest event; heap must be non-empty.
   TimeNs top_time() const { return slots_[0].time; }
+  uint64_t top_seq() const { return meta_[slots_[0].rec].seq; }
+
+  // Heap levels walked by every sift so far (hole sinking plus sift-up).
+  uint64_t sift_levels() const { return sift_levels_; }
 
   // Inserts an event. `seq` is the FIFO tie-break for equal times and must
   // be unique and increasing across Push calls. `f` is any callable the
@@ -101,6 +110,7 @@ class EventHeap {
         // new chunk costs one allocation, not an 80KB initialization sweep.
         cb_chunks_.emplace_back(new unsigned char[kChunkBytes]);
       }
+      TFC_CHECK_LT(rec, kMaxRecords);
       meta_.push_back(Meta{});
       ::new (static_cast<void*>(&CbAt(rec))) Callback();
     }
@@ -184,6 +194,7 @@ class EventHeap {
 
  private:
   static constexpr uint32_t kNullIndex = 0xffffffffu;
+  static constexpr uint32_t kMaxRecords = 0x7fffffffu;  // top index bit spare
   static constexpr uint32_t kArity = 4;
   static constexpr size_t kLineBytes = 64;
   static constexpr uint32_t kChunkShift = 10;  // 1024 callbacks per chunk
@@ -256,6 +267,7 @@ class EventHeap {
     if (pos == size_) {
       return;  // the hole was the last element
     }
+    uint64_t levels = 0;  // local, so the loop's stores cannot alias it
     for (;;) {
       const uint32_t first_child = pos * kArity + 1;
       if (first_child >= size_) {
@@ -271,7 +283,9 @@ class EventHeap {
       slots_[pos] = slots_[best];
       meta_[slots_[pos].rec].pos_or_next_free = pos;
       pos = best;
+      ++levels;
     }
+    sift_levels_ += levels;
     SiftUp(pos, slots_[size_]);
   }
 
@@ -280,6 +294,7 @@ class EventHeap {
   void SiftUp(uint32_t pos, Slot moving) {
     const TimeNs t = moving.time;
     const uint64_t s = meta_[moving.rec].seq;
+    uint64_t levels = 0;
     while (pos > 0) {
       const uint32_t parent = (pos - 1) / kArity;
       const Slot& p = slots_[parent];
@@ -290,7 +305,9 @@ class EventHeap {
       slots_[pos] = p;
       meta_[slots_[pos].rec].pos_or_next_free = pos;
       pos = parent;
+      ++levels;
     }
+    sift_levels_ += levels;
     slots_[pos] = moving;
     meta_[moving.rec].pos_or_next_free = pos;
   }
@@ -302,6 +319,7 @@ class EventHeap {
   uint32_t size_ = 0;
   uint32_t cap_ = 0;
   uint32_t daemon_size_ = 0;
+  uint64_t sift_levels_ = 0;
   std::vector<Meta> meta_;  // record -> (seq, heap position / free link, gen)
   // record -> callable, in address-stable raw-storage chunks; untouched by
   // sifting. Alignment: operator new[] returns max_align_t-aligned memory

@@ -1,9 +1,10 @@
 // Differential scheduler fuzz: long random schedule/cancel/run-until op
 // sequences executed against a trivially-correct reference model (a sorted
 // std::multimap, which keeps equal keys in insertion order), asserting the
-// exact firing order matches event for event. This proves the indexed
-// 4-ary event heap equivalent to the obvious implementation, including the
-// FIFO tie-break that determinism depends on.
+// exact firing order matches event for event. This proves the two-tier
+// indexed 4-ary event queue equivalent to the obvious implementation,
+// including the FIFO tie-break that determinism depends on, within a tier
+// and across the near/far boundary.
 
 #include <gtest/gtest.h>
 
@@ -61,9 +62,22 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
     for (int step = 0; step < kOpsPerSeed; ++step) {
       const double dice = rng.Uniform();
       if (dice < 0.60 || live.empty()) {
-        // Schedule at a random future time (often colliding, to stress the
-        // FIFO tie-break).
-        const TimeNs at = horizon + rng.UniformInt(0, 500);
+        // Schedule at a random future time drawn from three bands: short
+        // delays, delays at the tier boundary (kNearHorizon +- 1 ns), and
+        // delays deep in the far tier. Short and far times snap up to a
+        // 100 ns grid, so events collide often, to stress the FIFO
+        // tie-break within a tier and, once the clock has caught up with a
+        // far event, across tiers.
+        const double band = rng.Uniform();
+        TimeNs at;
+        if (band < 0.15) {
+          at = horizon + Scheduler::kNearHorizon + rng.UniformInt(-1, 1);
+        } else {
+          const TimeNs delay = band < 0.85 ? rng.UniformInt(0, 500)
+                                           : 100 * Scheduler::kNearHorizon -
+                                                 rng.UniformInt(0, 20) * 500;
+          at = (horizon + delay + 99) / 100 * 100;
+        }
         const int op = next_op++;
         auto id = sched.ScheduleAt(at, [op, &executed] { executed.push_back(op); });
         model.emplace(at, op);
@@ -84,8 +98,17 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
         }
         live.erase(it);
       } else {
-        // Run forward a random amount and drain the model to match.
-        horizon += rng.UniformInt(0, 400);
+        // Run forward a random amount and drain the model to match. Now
+        // and then jump to just short of a random pending event, so far
+        // events come due while near events are still being scheduled
+        // onto the same grid times.
+        if (rng.Bernoulli(0.03)) {
+          auto it = live.begin();
+          std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+          horizon = std::max(horizon, it->second.first - TimeNs(rng.UniformInt(0, 500)));
+        } else {
+          horizon += rng.UniformInt(0, 400);
+        }
         sched.RunUntil(horizon);
         drain_model_until(horizon);
         ASSERT_EQ(executed, expected) << "divergence at step " << step

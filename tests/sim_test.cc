@@ -211,6 +211,70 @@ TEST(SchedulerTest, CancelOfDaemonEventKeepsCountsExact) {
   EXPECT_EQ(sched.pending_total(), 0u);
 }
 
+// A far-tier event and a near-tier event due at the same instant. The far
+// one was scheduled first (it had to be: a later call at the same time is
+// closer to it), so it has the lower seq and must fire first. A Pop that
+// compared the tiers' top times only and let the near tier win ties would
+// reverse the two.
+TEST(SchedulerTest, TieAcrossTiersFiresInScheduleOrder) {
+  const TimeNs at = 10 * Scheduler::kNearHorizon;
+  Scheduler sched;
+  std::vector<char> order;
+  sched.ScheduleAt(at, [&] { order.push_back('A'); });  // far tier
+  sched.RunUntil(at - Scheduler::kNearHorizon / 2);
+  sched.ScheduleAt(at, [&] { order.push_back('B'); });  // near tier
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+  EXPECT_EQ(sched.now(), at);
+}
+
+TEST(SchedulerTest, DaemonTieAcrossTiersFiresInScheduleOrder) {
+  const TimeNs at = 10 * Scheduler::kNearHorizon;
+  Scheduler sched;
+  std::vector<char> order;
+  sched.ScheduleDaemonAfter(at, [&] { order.push_back('A'); });  // far tier
+  sched.RunUntil(at - Scheduler::kNearHorizon / 2);
+  sched.ScheduleDaemonAfter(at - sched.now(), [&] { order.push_back('B'); });  // near
+  EXPECT_EQ(sched.daemon_pending(), 2u);
+  sched.RunUntil(at);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+  EXPECT_EQ(sched.pending_total(), 0u);
+}
+
+// Cancel reaches the tier an event went to, and every count stays exact.
+TEST(SchedulerTest, CancelInEachTierKeepsCountsExact) {
+  Scheduler sched;
+  bool fired = false;
+  const Scheduler::EventId near_user = sched.ScheduleAfter(1, [&] { fired = true; });
+  const Scheduler::EventId far_user =
+      sched.ScheduleAfter(100 * Scheduler::kNearHorizon, [&] { fired = true; });
+  const Scheduler::EventId near_daemon = sched.ScheduleDaemonAfter(1, [&] { fired = true; });
+  const Scheduler::EventId far_daemon =
+      sched.ScheduleDaemonAfter(100 * Scheduler::kNearHorizon, [&] { fired = true; });
+  ASSERT_EQ(sched.pending(), 2u);
+  ASSERT_EQ(sched.daemon_pending(), 2u);
+
+  EXPECT_TRUE(sched.Cancel(far_user));
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_EQ(sched.daemon_pending(), 2u);
+  EXPECT_TRUE(sched.Cancel(near_daemon));
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_EQ(sched.daemon_pending(), 1u);
+  EXPECT_TRUE(sched.Cancel(near_user));
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.daemon_pending(), 1u);
+  EXPECT_TRUE(sched.Cancel(far_daemon));
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.daemon_pending(), 0u);
+
+  for (const Scheduler::EventId id : {near_user, far_user, near_daemon, far_daemon}) {
+    EXPECT_FALSE(sched.Cancel(id));  // stale in either tier: no-op
+  }
+  EXPECT_EQ(sched.pending_total(), 0u);
+  sched.RunUntil(200 * Scheduler::kNearHorizon);
+  EXPECT_FALSE(fired);
+}
+
 TEST(RngTest, DeterministicForFixedSeed) {
   Rng a(42);
   Rng b(42);
